@@ -64,17 +64,28 @@ def default_grid():
 
 def best_threshold(preds, grid=None):
     """Grid point maximizing micro F1; ties resolve to the smallest
-    threshold (strictly-greater update over an ascending scan)."""
+    threshold (strictly-greater update over an ascending scan).
+
+    The scores are sorted once; the count of scores >= t at every grid
+    point is then read with ``searchsorted`` (left side keeps the closed
+    lower bound), instead of one full confusion pass per grid point.
+    """
     if grid is None:
         grid = default_grid()
     if not len(grid):
         raise ValueError("threshold grid must be non-empty")
+    grid = sorted(grid)
+    scores, y = preds.flat()
+    ranked, ranked_pos = np.sort(scores), np.sort(scores[y])
+    t = np.asarray(grid, dtype=np.float64)
+    tp = ranked_pos.size - np.searchsorted(ranked_pos, t, side="left")
+    fp = ranked.size - np.searchsorted(ranked, t, side="left") - tp
+    fn = ranked_pos.size - tp
     best_t, best_f1 = None, -1.0
-    for t in sorted(grid):
-        tp, fp, fn, _ = confusion_at(preds, t)
-        f1 = micro_f1(tp, fp, fn)
+    for threshold, *counts in zip(grid, tp.tolist(), fp.tolist(), fn.tolist()):
+        f1 = micro_f1(*counts)
         if f1 > best_f1:
-            best_t, best_f1 = t, f1
+            best_t, best_f1 = threshold, f1
     return best_t, best_f1
 
 

@@ -79,7 +79,8 @@ class Tensor:
         """Accumulate gradients of this tensor w.r.t. every graph leaf.
 
         ``seed`` defaults to ones, which is only meaningful for scalar
-        outputs (the usual loss case).
+        outputs (the usual loss case). The graph is released as it is
+        walked, so a second ``backward()`` through it raises RuntimeError.
         """
         if seed is None:
             if self.data.size != 1:
@@ -101,9 +102,18 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accum(seed)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Each node is released once it has run: its closure (which holds
+        # the node itself, its parents and their saved arrays) is dropped,
+        # so the graph is freed by reference counting as the walk goes,
+        # not later by the cyclic collector.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward()
+            node._backward = _released
+            node._parents = ()
 
     # operator sugar
     def __add__(self, other):
@@ -139,6 +149,12 @@ class Tensor:
 
     def mean(self, axis=None):
         return tensor_mean(self, axis)
+
+
+def _released():
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() already "
+        "released; run the forward pass again")
 
 
 def as_tensor(x, dtype=None):

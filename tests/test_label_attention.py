@@ -1,21 +1,40 @@
-"""Per-class attention pooling: worked examples, invariants, gradients."""
+"""Per-class attention pooling: worked examples, invariants, gradients, and
+the fused head against the unfused composition it replaced."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from segcoder.label_attention import (
+    BLOCK,
     LabelHeadParams,
     attention_param_count,
     attention_weights,
     classifier_param_count,
-    pool_document,
     predict,
 )
-from segcoder.tensor import Tensor, tensor_sum
+from segcoder.tensor import (Tensor, add, matmul, mul, reshape, sigmoid, softmax,
+                             tensor_sum, transpose)
 
 from conftest import param_gradcheck
+
+
+def unfused_predict(E, head):
+    """Reference oracle: the head as a composition of generic ops, which
+    builds and keeps the full [K, s] scores and weights."""
+    scores = transpose(matmul(E, transpose(head.Q)))          # [K, s]
+    alpha = softmax(scores, axis=-1)
+    z = matmul(alpha, E)                                      # [K, d]
+    return sigmoid(add(tensor_sum(mul(z, head.W), axis=1), head.b))
+
+
+def pool_document(E, q_c):
+    """Per-class oracle: attention-weighted sum of token vectors."""
+    s = E.data.shape[0]
+    alpha = attention_weights(E, q_c)
+    return reshape(matmul(reshape(alpha, (1, s)), E), (E.data.shape[1],))
 
 
 def head_from_arrays(Q, W, b):
@@ -208,3 +227,55 @@ class TestGradients:
             return tensor_sum(attention_weights(E, q) * Tensor(w))
 
         param_gradcheck([E, q], loss, rtol=1e-4, names=["E", "q"])
+
+
+def _probs_and_grads(fn, arrays, dtype, probe):
+    E, Q, W, b = (Tensor(a.astype(dtype), requires_grad=True) for a in arrays)
+    head = LabelHeadParams(Q.data.shape[0], Q.data.shape[1],
+                           np.random.default_rng(0), dtype=dtype)
+    head.Q, head.W, head.b = Q, W, b
+    p = fn(E, head)
+    tensor_sum(mul(p, Tensor(probe.astype(dtype)))).backward()
+    return [p.data, E.grad, Q.grad, W.grad, b.grad]
+
+
+class TestFusedParity:
+    """The fused head against the unfused oracle. Each array must agree to
+    ``tol`` times the larger of 1 and the oracle's largest magnitude: the
+    E gradient sums over all K codes, so in float32 its rounding grows with
+    its size."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("K,s,d", [
+        (3, 7, 4),                 # K < block
+        (2 * BLOCK + 3, 9, 5),     # ragged last block
+        (2 * BLOCK + 3, 1, 4),     # a single token
+        (4, 1, 3),
+    ])
+    def test_forward_and_gradients(self, K, s, d, dtype, tol):
+        rng = np.random.default_rng(K * 31 + s)
+        arrays = [rng.normal(size=(s, d)), rng.normal(size=(K, d)),
+                  rng.normal(size=(K, d)), rng.normal(size=K)]
+        probe = rng.normal(size=K)
+        got = _probs_and_grads(predict, arrays, dtype, probe)
+        want = _probs_and_grads(unfused_predict, arrays, dtype, probe)
+        for name, g, w in zip(["probs", "E", "Q", "W", "b"], got, want):
+            assert g.dtype == dtype, name
+            scale = max(1.0, float(np.abs(w).max()))
+            err = float(np.abs(g - w).max())
+            assert err <= tol * scale, f"{name}: max |diff| {err:.3e}"
+
+    def test_no_k_by_s_array(self):
+        # forward and backward together stay well under one [K, s] array
+        K, s, d = 8 * BLOCK, 512, 4
+        rng = np.random.default_rng(1)
+        E = Tensor(rng.normal(size=(s, d)), requires_grad=True)
+        head = LabelHeadParams(K, d, rng, dtype=np.float64)
+        full = K * s * 8
+        tracemalloc.start()
+        try:
+            tensor_sum(predict(E, head)).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full / 2, f"peak {peak} B vs one [K, s] array {full} B"

@@ -1,6 +1,9 @@
 """Tensor op semantics and reverse-mode gradients against the
 finite-difference oracle (20 random small inputs per differentiable op)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,37 @@ class TestForward:
         b = Tensor(x.copy(), requires_grad=True)
         mul(tensor_sum(mul(b, b)), 2.0).backward()
         np.testing.assert_allclose(doubled, b.grad, atol=1e-6)
+
+
+class TestGraphRelease:
+    def test_interior_tensor_freed_without_cyclic_gc(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        gc.disable()
+        try:
+            h = tanh(mul(x, 2.0))
+            ref = weakref.ref(h)
+            loss = tensor_sum(mul(h, h))
+            del h
+            loss.backward()
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(x.grad, 4 * np.tanh(2.0) * (1 - np.tanh(2.0) ** 2))
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = tensor_sum(mul(x, x))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+
+    def test_reusing_released_interior_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = mul(x, x)
+        tensor_sum(h).backward()
+        with pytest.raises(RuntimeError, match="released"):
+            tensor_sum(mul(h, 2.0)).backward()
 
 
 class TestGradients:
