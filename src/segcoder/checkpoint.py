@@ -50,6 +50,11 @@ def load_tensors(directory):
         except ValueError as e:
             raise ValueError(f"{manifest}:{lineno}: malformed manifest line") from e
         count = int(np.prod(shape)) if shape else 1
+        needed = offset + 4 * count
+        if offset < 0 or needed > len(blob):
+            raise ValueError(
+                f"{manifest}:{lineno}: tensor {name!r} at offset {offset} needs "
+                f"{needed} bytes, but {blob_path} holds {len(blob)}")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         out[name] = arr.reshape(shape).copy()
     return out

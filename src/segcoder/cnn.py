@@ -2,6 +2,10 @@
 convolution with tanh, producing per-word vectors for the same label
 attention head the transformer feeds.
 
+The convolution is one GEMM over a patch matrix built by ``unfold_rows``,
+whose backward sums k shifted row slices of the gradient; the only scatter
+in a backward pass is the word-embedding one.
+
 The word vocabulary is built from the training corpus (whitespace words,
 minimum frequency 3) with embeddings trained from scratch.
 """
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, concat_rows, embedding_gather, matmul, reshape, tanh
+from .tensor import Tensor, add, embedding_gather, matmul, tanh, unfold_rows
 from .tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
 from .transformer import truncated_normal
 
@@ -77,19 +81,12 @@ def word_ids(text, vocab):
 
 
 def encode_cnn(params, config, word_ids_arr):
-    """Per-word representations [n, filters] via embedding lookup, a
-    same-padded width-k convolution, and tanh."""
+    """Per-word representations [n, filters]: embedding lookup, a
+    same-padded width-k convolution as one matmul over the unfolded
+    [n, k·embed_dim] patches, and tanh. The unfold's backward sums k
+    shifted slices, so the word-embedding lookup is the only scatter."""
     ids = np.asarray(word_ids_arr, dtype=np.int64)
     if ids.ndim != 1 or ids.size < 1:
         raise ValueError("encode_cnn needs a non-empty 1-D id sequence")
-    n, k, de = ids.size, config.kernel, config.embed_dim
-    emb = embedding_gather(params.word_emb, ids)            # [n, de]
-    half = k // 2
-    if half:
-        zero = Tensor(np.zeros((half, de), dtype=emb.data.dtype))
-        padded = concat_rows([zero, emb, zero])             # [n + k - 1, de]
-    else:
-        padded = emb
-    windows = np.arange(n)[:, None] + np.arange(k)[None, :]
-    patches = reshape(embedding_gather(padded, windows), (n, k * de))
+    patches = unfold_rows(embedding_gather(params.word_emb, ids), config.kernel)
     return tanh(add(matmul(patches, params.conv_w), params.conv_b))

@@ -14,7 +14,12 @@ import numpy as np
 
 
 class PredictionSet:
-    """Per-note probability vectors plus sparse ground-truth label indices."""
+    """Per-note probability vectors plus sparse ground-truth label indices.
+
+    ``probs`` and ``labels`` are read-only, so the ranked curve the AUCs
+    share is sorted once per score matrix; assigning a new ``probs``
+    starts a fresh curve.
+    """
 
     def __init__(self, probs, sparse_labels):
         probs = np.asarray(probs, dtype=np.float64)
@@ -22,7 +27,6 @@ class PredictionSet:
             raise ValueError(f"probs must be [notes, K], got shape {probs.shape}")
         if len(sparse_labels) != probs.shape[0]:
             raise ValueError("one label list per note is required")
-        self.probs = probs
         self.num_notes, self.num_classes = probs.shape
         self.labels = np.zeros(probs.shape, dtype=bool)
         for row, idx in enumerate(sparse_labels):
@@ -30,9 +34,28 @@ class PredictionSet:
             if idx.size and (idx.min() < 0 or idx.max() >= self.num_classes):
                 raise ValueError(f"label index out of range in note {row}")
             self.labels[row, idx] = True
+        self.labels.flags.writeable = False
+        self.probs = probs
+
+    @property
+    def probs(self):
+        return self._probs
+
+    @probs.setter
+    def probs(self, value):
+        self._probs = np.asarray(value, dtype=np.float64).view()
+        self._probs.flags.writeable = False
+        self._curve = None
 
     def flat(self):
         return self.probs.reshape(-1), self.labels.reshape(-1)
+
+    def curve(self):
+        """``_sweep`` of this set: sorted on first use, then shared by
+        ``pr_auc`` and ``roc_auc``."""
+        if self._curve is None:
+            self._curve = _sweep(self)
+        return self._curve
 
 
 def confusion_at(preds, threshold):
@@ -112,7 +135,7 @@ def _sweep(preds):
 def roc_auc(preds):
     """Trapezoidal area under (FPR, TPR), anchored at (0, 0); None when a
     class is empty."""
-    tp, fp, n_pos, n_neg = _sweep(preds)
+    tp, fp, n_pos, n_neg = preds.curve()
     if n_pos == 0 or n_neg == 0:
         return None
     tpr = np.concatenate([[0.0], tp / n_pos])
@@ -124,7 +147,7 @@ def pr_auc(preds):
     """Trapezoidal area under (recall, precision) across all distinct score
     thresholds, anchored at recall 0 with precision 1; None when a class is
     empty."""
-    tp, fp, n_pos, n_neg = _sweep(preds)
+    tp, fp, n_pos, n_neg = preds.curve()
     if n_pos == 0 or n_neg == 0:
         return None
     recall = np.concatenate([[0.0], tp / n_pos])
@@ -147,6 +170,8 @@ class EvalReport:
 
 
 def evaluate(preds, threshold):
+    """Confusion counts and F1 at ``threshold`` plus both AUCs, which share
+    one sort of the scores."""
     tp, fp, fn, tn = confusion_at(preds, threshold)
     p, r, f1 = precision_recall_f1(tp, fp, fn)
     return EvalReport(threshold=float(threshold), micro_precision=p, micro_recall=r,

@@ -461,3 +461,32 @@ def slice_rows(a, start, stop):
             a.grad[start:stop] += out.grad
         out._backward = _bw
     return out
+
+
+def unfold_rows(a, k):
+    """Same-padded sliding windows of ``k`` rows over a 2-D ``[n, d]`` tensor.
+
+    Row i of the ``[n, k*d]`` output is rows i-k//2 .. i+k//2 of ``a``
+    flattened, with zero rows past either end (im2col for a 1-D
+    convolution). ``k`` must be odd. Backward sums k shifted row slices of
+    the gradient, so it needs no index array and no scatter.
+    """
+    if a.data.ndim != 2:
+        raise ValueError(f"unfold_rows expects a 2-D tensor, got shape {a.data.shape}")
+    if k < 1 or k % 2 != 1:
+        raise ValueError(f"unfold_rows needs an odd window width, got {k}")
+    n, d = a.data.shape
+    half = k // 2
+    padded = np.zeros((n + k - 1, d), dtype=a.data.dtype)
+    padded[half:half + n] = a.data
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, d))[:, 0]
+    out = _make(np.ascontiguousarray(windows).reshape(n, k * d), (a,))
+    if out.requires_grad:
+        def _bw():
+            g = out.grad.reshape(n, k, d)
+            dpadded = np.zeros((n + k - 1, d), dtype=g.dtype)
+            for j in range(k):
+                dpadded[j:j + n] += g[:, j]
+            a._accum(dpadded[half:half + n])
+        out._backward = _bw
+    return out

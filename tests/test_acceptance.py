@@ -127,6 +127,9 @@ def test_criterion_2_gradient_correctness():
         ("mask_fill", lambda a: T.mask_fill(a, mask, value=0.5), [arr(2, 3)]),
         ("concat_rows", lambda a, b: T.concat_rows([a, b]), [arr(2, 4), arr(3, 4)]),
         ("slice_rows", lambda a: T.slice_rows(a, 1, 3), [arr(4, 3)]),
+        # its own generator, so the composed model below keeps its weights
+        ("unfold_rows", lambda a: T.unfold_rows(a, 3),
+         [np.random.default_rng(8).normal(size=(4, 3))]),
     ]
     t0 = time.time()
     for name, fn, arrays in ops:

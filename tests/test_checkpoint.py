@@ -50,3 +50,25 @@ def test_malformed_manifest_line_reports_position(tmp_path):
     manifest.write_text("x\tnot-a-shape\n")
     with pytest.raises(ValueError, match="malformed"):
         load_tensors(tmp_path)
+
+
+@pytest.mark.parametrize("keep", [0, 27, 43])
+def test_truncated_blob_names_tensor_and_sizes(tmp_path, keep):
+    save_tensors(tmp_path, [("x", np.zeros((2, 3), dtype=np.float32)),
+                            ("y", np.ones(5, dtype=np.float32))])
+    blob = tmp_path / BLOB_NAME
+    blob.write_bytes(blob.read_bytes()[:keep])
+    name, line, needed = ("x", 1, 24) if keep < 24 else ("y", 2, 44)
+    with pytest.raises(ValueError) as exc:
+        load_tensors(tmp_path)
+    msg = str(exc.value)
+    assert f"{tmp_path / MANIFEST_NAME}:{line}:" in msg
+    assert f"'{name}'" in msg
+    assert f"needs {needed} bytes" in msg and f"holds {keep}" in msg
+
+
+def test_negative_offset_rejected(tmp_path):
+    save_tensors(tmp_path, [("x", np.zeros(2, dtype=np.float32))])
+    (tmp_path / MANIFEST_NAME).write_text("x\t2\t-4\n")
+    with pytest.raises(ValueError, match="'x' at offset -4"):
+        load_tensors(tmp_path)

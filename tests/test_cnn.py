@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from segcoder import kernels
 from segcoder.cnn import CnnConfig, CnnParams, build_word_vocab, encode_cnn, word_ids
 from segcoder.label_attention import LabelHeadParams, predict
-from segcoder.tensor import Tensor, tensor_sum
+from segcoder.tensor import (Tensor, add, concat_rows, embedding_gather, matmul, mul,
+                             reshape, tanh, tensor_sum)
 
 from conftest import param_gradcheck
 
@@ -14,6 +16,23 @@ def make_params(rng, vocab_size=10, embed_dim=3, filters=4, kernel=3, dtype=np.f
     config = CnnConfig(embed_dim=embed_dim, filters=filters, kernel=kernel,
                        vocab_size=vocab_size)
     return CnnParams(config, rng, dtype=dtype), config
+
+
+def encode_cnn_oracle(params, config, ids):
+    """The convolution as first written: zero-pad the embeddings, gather
+    every window's rows by index, flatten to patches. Its backward
+    scatters n·k window rows."""
+    n, k, de = ids.size, config.kernel, config.embed_dim
+    emb = embedding_gather(params.word_emb, ids)
+    half = k // 2
+    if half:
+        zero = Tensor(np.zeros((half, de), dtype=emb.data.dtype))
+        padded = concat_rows([zero, emb, zero])
+    else:
+        padded = emb
+    windows = np.arange(n)[:, None] + np.arange(k)[None, :]
+    patches = reshape(embedding_gather(padded, windows), (n, k * de))
+    return tanh(add(matmul(patches, params.conv_w), params.conv_b))
 
 
 class TestWordVocab:
@@ -109,6 +128,45 @@ class TestEncodeCnn:
         a = encode_cnn(params, config, ids).data
         b = encode_cnn(params, config, ids).data
         assert np.array_equal(a, b)
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n,kernel", [(12, 3), (40, 9), (3, 9), (1, 9), (6, 1)])
+    def test_forward_and_gradients(self, dtype, n, kernel):
+        rng = np.random.default_rng(n * 100 + kernel)
+        ids = rng.integers(0, 6, size=n)   # vocabulary of 6: ids repeat
+        w = rng.normal(size=(n, 5)).astype(dtype)
+        results = []
+        for encode in (encode_cnn_oracle, encode_cnn):
+            params, config = make_params(np.random.default_rng(0), vocab_size=6,
+                                         embed_dim=4, filters=5, kernel=kernel,
+                                         dtype=dtype)
+            out = encode(params, config, ids)
+            tensor_sum(mul(out, Tensor(w))).backward()
+            results.append([out.data] + [t.grad for t in params.tensors()])
+        names = ["output", "word_emb", "conv_w", "conv_b"]
+        for name, want, got in zip(names, *results):
+            assert got.dtype == dtype
+            scale = 1.0 if dtype == np.float64 else max(1.0, float(np.abs(want).max()))
+            atol = 1e-12 if dtype == np.float64 else 1e-6 * scale
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol, err_msg=name)
+
+
+class TestScatterCount:
+    def test_only_the_word_embedding_scatters(self, rng, monkeypatch):
+        calls = []
+        scatter = kernels.active.scatter_add
+
+        def counting(table, ids, rows):
+            calls.append(rows.shape)
+            return scatter(table, ids, rows)
+
+        monkeypatch.setattr(kernels.active, "scatter_add", counting)
+        params, config = make_params(rng, kernel=9)
+        ids = rng.integers(0, 10, size=20)
+        tensor_sum(encode_cnn(params, config, ids)).backward()
+        assert calls == [(20, config.embed_dim)]
 
 
 class TestHeadCompatibility:

@@ -7,6 +7,7 @@ pairwise rank statistic for ROC and a per-distinct-threshold curve for PR.
 import numpy as np
 import pytest
 
+from segcoder import metrics
 from segcoder.metrics import (
     EvalReport,
     PredictionSet,
@@ -256,6 +257,31 @@ class TestReport:
         assert report.tp + report.fp + report.fn + report.tn == 24
         p, r, f1 = precision_recall_f1(report.tp, report.fp, report.fn)
         assert report.micro_f1 == pytest.approx(f1)
+
+    def test_evaluate_aucs_equal_standalone(self, rng):
+        for i in range(50):
+            ps = random_set(rng)
+            if i % 3 == 0:
+                ps.probs = np.round(ps.probs, 1)
+            report = evaluate(ps, 0.5)
+            fresh = PredictionSet(ps.probs, [np.nonzero(row)[0] for row in ps.labels])
+            assert report.pr_auc == pr_auc(fresh)
+            assert report.roc_auc == roc_auc(fresh)
+
+    def test_evaluate_sorts_once(self, rng, monkeypatch):
+        calls = []
+        sweep = metrics._sweep
+        monkeypatch.setattr(metrics, "_sweep", lambda p: calls.append(p) or sweep(p))
+        evaluate(random_set(rng, n_notes=5, k=4), 0.5)
+        assert len(calls) == 1
+
+    def test_new_probs_start_a_new_curve(self):
+        ps = single_note([0.1, 0.2, 0.8, 0.9], [2, 3])
+        assert roc_auc(ps) == 1.0
+        with pytest.raises(ValueError):
+            ps.probs[0, 0] = 0.5   # read-only, so the cached curve cannot go stale
+        ps.probs = 1.0 - ps.probs
+        assert roc_auc(ps) == 0.0
 
     def test_kv_format(self):
         report = EvalReport(threshold=0.5, micro_precision=1.0, micro_recall=0.5,

@@ -12,7 +12,7 @@ from segcoder.tensor import (MASK_FILL_VALUE, Tensor, add, clamp, concat_rows,
                              embedding_gather, gelu, layer_norm, log,
                              mask_fill, matmul, mul, neg, no_grad, reshape,
                              sigmoid, slice_rows, softmax, sub, tanh,
-                             tensor_mean, tensor_sum, transpose)
+                             tensor_mean, tensor_sum, transpose, unfold_rows)
 
 SEEDS = range(20)
 
@@ -83,6 +83,20 @@ class TestForward:
             embedding_gather(table, np.array([3]))
         with pytest.raises(IndexError):
             embedding_gather(table, np.array([-1]))
+
+    def test_unfold_rows_same_padded_windows(self):
+        x = np.arange(1.0, 7.0).reshape(3, 2)
+        out = unfold_rows(Tensor(x), 3).data
+        np.testing.assert_array_equal(out, [[0, 0, 1, 2, 3, 4],
+                                            [1, 2, 3, 4, 5, 6],
+                                            [3, 4, 5, 6, 0, 0]])
+        assert out.flags.c_contiguous
+
+    def test_unfold_rows_rejects_even_width_and_non_matrix(self):
+        with pytest.raises(ValueError, match="odd"):
+            unfold_rows(Tensor(np.zeros((3, 2))), 2)
+        with pytest.raises(ValueError, match="2-D"):
+            unfold_rows(Tensor(np.zeros(3)), 1)
 
     def test_mask_fill_value_and_zero_after_softmax(self):
         x = Tensor(np.zeros((1, 4), dtype=np.float32), requires_grad=True)
@@ -264,6 +278,14 @@ class TestGradients:
         y = r.normal(size=(6, 2))
         ws = r.normal(size=(3, 2))
         gradcheck(lambda t: weighted(slice_rows(t, 1, 4), ws), [y])
+
+    @pytest.mark.parametrize("n,k", [(5, 1), (1, 9), (3, 9), (6, 3)])
+    def test_unfold_rows(self, n, k):
+        # k=1 is the identity; n=1 and n < k//2 have windows wider than the input
+        r = np.random.default_rng(n * 10 + k)
+        x = r.normal(size=(n, 2))
+        w = r.normal(size=(n, k * 2))
+        gradcheck(lambda t: weighted(unfold_rows(t, k), w), [x])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_diamond_graph_reuse(self, seed):
