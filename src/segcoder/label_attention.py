@@ -10,7 +10,9 @@ of ``BLOCK`` rows and reuses one [block, s] buffer for their scores, so the
 working memory is O(block * s) rather than O(K * s), and no [K, s] array is
 kept in the graph. Backward recomputes each block's attention weights from
 the saved row maxima and sums instead of storing them, in the manner of
-FlashAttention (Dao et al., 2022).
+FlashAttention (Dao et al., 2022), and folds the max and the sum into the
+GEMMs the recompute already runs, so it makes no separate pass over a
+[block, s] buffer to subtract or divide them.
 """
 
 import numpy as np
@@ -61,7 +63,9 @@ def label_logits(E, Q, W, b):
     """Logits [K] of the label-attention head over tokens E [s, d].
 
     logit_c = w_c . softmax(E q_c)^T E + b_c, computed block by block over
-    the codes; see the module docstring.
+    the codes; see the module docstring. Forward keeps only z [K, d] and
+    the per-code row max and sum; backward folds both into the GEMMs that
+    recompute each block's attention weights.
     """
     dtype = np.result_type(E.data, Q.data, W.data, b.data)
     e, q, w = (np.asarray(t.data, dtype=dtype) for t in (E, Q, W))
@@ -88,23 +92,35 @@ def label_logits(E, Q, W, b):
                 W._accum(g * z)
             if b.requires_grad:
                 b._accum(out.grad)
-            dz = g * w
+            # With e1 = [e | 1], exp([q | -max] @ e1.T) is alpha * sum, and
+            # ([dz | -dz.z] / sum) @ e1.T times it is dscores: one GEMM of
+            # both stacked rows against e1 replaces the passes over
+            # [block, s] that subtract the max and divide by the sum. dE
+            # gets alpha.T @ dz + dscores.T @ q as one GEMM over both halves.
+            d = e.shape[1]
+            e1 = np.concatenate([e, np.ones((s, 1), dtype=dtype)], axis=1)
             dE = np.zeros_like(e)
             dQ = np.empty_like(q)
-            alphas = np.empty((min(BLOCK, K), s), dtype=dtype)
-            dalphas = np.empty_like(alphas)
+            nmax = 2 * min(BLOCK, K)
+            lhs = np.empty((nmax, d + 1), dtype=dtype)   # [q | -max; dz | -dz.z]
+            rhs = np.empty((nmax, d), dtype=dtype)       # [dz / sum; q]
+            buf = np.empty((nmax, s), dtype=dtype)       # [alpha * sum; dscores]
             for lo in range(0, K, BLOCK):
                 hi = min(lo + BLOCK, K)
-                alpha, da = alphas[: hi - lo], dalphas[: hi - lo]
-                np.matmul(q[lo:hi], e.T, out=alpha)
-                alpha -= row_max[lo:hi]
-                np.exp(alpha, out=alpha)
-                alpha /= row_sum[lo:hi]
-                np.matmul(dz[lo:hi], e.T, out=da)
-                da -= np.einsum("kd,kd->k", dz[lo:hi], z[lo:hi])[:, None]
-                da *= alpha                                    # dscores
-                dE += alpha.T @ dz[lo:hi]
-                dE += da.T @ q[lo:hi]
+                nb = hi - lo
+                lhs[:nb, :d] = q[lo:hi]
+                lhs[:nb, d] = -row_max[lo:hi, 0]
+                dz = lhs[nb:2 * nb, :d]
+                np.multiply(g[lo:hi], w[lo:hi], out=dz)
+                lhs[nb:2 * nb, d] = -np.einsum("kd,kd->k", dz, z[lo:hi])
+                lhs[nb:2 * nb] /= row_sum[lo:hi]
+                np.matmul(lhs[:2 * nb], e1.T, out=buf[:2 * nb])
+                ex, da = buf[:nb], buf[nb:2 * nb]
+                np.exp(ex, out=ex)
+                da *= ex                                       # dscores
+                rhs[:nb] = dz
+                rhs[nb:2 * nb] = q[lo:hi]
+                dE += buf[:2 * nb].T @ rhs[:2 * nb]
                 np.matmul(da, e, out=dQ[lo:hi])
             if E.requires_grad:
                 E._accum(dE)

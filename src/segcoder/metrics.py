@@ -117,12 +117,14 @@ def _sweep(preds):
 
     Returns (tp_cum, fp_cum, n_pos, n_neg); ties share one curve point,
     which makes trapezoidal ROC-AUC equal the pairwise rank statistic with
-    ties counted one half.
+    ties counted one half. Each point is read at the last index of its tie
+    run, so the order within a tie is never read and the sort need not be
+    stable.
     """
     scores, y = preds.flat()
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     s = scores[order]
     yy = y[order].astype(np.int64)
     boundary = np.nonzero(np.diff(s))[0]

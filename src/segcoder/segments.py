@@ -1,18 +1,18 @@
-"""Long-document handling: window planning and per-segment encoding.
+"""Long-document handling: window planning and batched window encoding.
 
 A padded token sequence is split into fixed-length windows (disjoint by
-default, overlapping when ``stride > 0``), each window is encoded
-independently, and the per-token vectors are stitched back into one long
-sequence. With overlap, each token's vector comes from the window whose
-center is nearest (ties to the earlier window), so every position is owned
-by exactly one window.
+default, overlapping when ``stride > 0``). All windows are stacked and
+encoded in one batched pass, each attending only within itself, and the
+per-token vectors are stitched back into one long sequence. With overlap,
+each token's vector comes from the window whose center is nearest (ties to
+the earlier window), so every position is owned by exactly one window.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import concat_rows, slice_rows
+from .tensor import embedding_gather, reshape, slice_rows
 
 
 @dataclass
@@ -25,23 +25,6 @@ class SegmentPlan:
     @property
     def padded_len(self):
         return len(self.owner)
-
-    def owned_ranges(self):
-        """Per segment, the contiguous [lo, hi) span of tokens it owns."""
-        ranges = []
-        for i, (start, end) in enumerate(self.segments):
-            pos = np.nonzero(self.owner == i)[0]
-            if len(pos) == 0:
-                ranges.append((0, 0))
-                continue
-            lo, hi = int(pos[0]), int(pos[-1]) + 1
-            if hi - lo != len(pos):
-                raise AssertionError(f"segment {i} owns a non-contiguous span")
-            if lo < start or hi > end:
-                raise AssertionError(
-                    f"segment {i} owns [{lo},{hi}) outside its window [{start},{end})")
-            ranges.append((lo, hi))
-        return ranges
 
 
 def plan_segments(padded_len, seg_len, stride=0):
@@ -83,19 +66,23 @@ def plan_segments(padded_len, seg_len, stride=0):
 def encode_long(encoder, seq, plan):
     """Stitched per-token representations for a whole document.
 
-    ``encoder`` maps (ids, pad_mask) for one window to a [seg_len, d]
-    tensor. Windows are encoded in order; each real token position i < s
-    takes its row from its owner window, and the padded tail is dropped, so
-    the result has exactly ``seq.s`` rows.
+    ``encoder`` maps (ids, pad_mask) of shape [W, seg_len] to a
+    [W, seg_len, d] tensor, so every window of the plan is encoded in one
+    call. Each real token position i < s takes its row from its owner
+    window, and the padded tail is dropped, so the result has exactly
+    ``seq.s`` rows. Disjoint windows own their rows in order, so the result
+    is a prefix of the stacked rows; with overlap the owned rows are
+    gathered in one step.
     """
     padded = len(seq.ids)
     if plan.padded_len != padded:
         raise ValueError(f"plan covers {plan.padded_len} tokens, sequence has {padded}")
-    pad_mask = np.arange(padded) >= seq.s
-    pieces = []
-    for (start, end), (lo, hi) in zip(plan.segments, plan.owned_ranges()):
-        out = encoder(seq.ids[start:end], pad_mask[start:end])
-        if hi > lo:
-            pieces.append(slice_rows(out, lo - start, hi - start))
-    stitched = concat_rows(pieces)
-    return slice_rows(stitched, 0, seq.s)
+    n = plan.seg_len
+    starts = np.array([start for start, _ in plan.segments])
+    window = starts[:, None] + np.arange(n)                       # [W, n]
+    out = encoder(np.asarray(seq.ids)[window], window >= seq.s)
+    flat = reshape(out, (len(starts) * n, out.data.shape[-1]))
+    if plan.stride == 0:
+        return slice_rows(flat, 0, seq.s)
+    owner = plan.owner[: seq.s]
+    return embedding_gather(flat, owner * n + np.arange(seq.s) - starts[owner])

@@ -1,9 +1,10 @@
 """Small bidirectional transformer encoder producing per-token vectors.
 
-One segment of ``seg_len`` token ids goes through token + position + type
-embeddings and ``num_blocks`` post-layer-norm blocks (self-attention with
-additive key masking of pad positions, then a GELU feed-forward). Defaults
-match the 2-block, 256-dim configuration whose total parameter count is
+One segment of ``seg_len`` token ids, or a stack of W such windows encoded
+in one pass, goes through token + position + type embeddings and
+``num_blocks`` post-layer-norm blocks (self-attention within each window
+with additive key masking of pad positions, then a GELU feed-forward).
+Defaults match the 2-block, 256-dim configuration whose total parameter count is
 9,591,040.
 
 The pooler projection is allocated so parameter accounting matches that
@@ -150,38 +151,46 @@ def _linear(x, w, b):
 
 
 def encode_segment(params, config, segment_ids, pad_mask):
-    """Per-token representations for one segment.
+    """Per-token representations for one segment or a stack of segments.
 
-    ``segment_ids`` must hold exactly ``seg_len`` ids; ``pad_mask`` is True
-    at padded positions, which are excluded as attention keys. Padded
-    positions still produce output rows; callers drop them downstream.
+    ``segment_ids`` holds ``seg_len`` ids, or ``[W, seg_len]`` ids for W
+    windows encoded in one pass; ``pad_mask`` has the same shape and is True
+    at padded positions, which are excluded as attention keys within their
+    own window. The result is ``[..., seg_len, d]``. Windows never see each
+    other: the linears and layer norms act row by row over ``[W*seg_len, d]``
+    and attention runs per window over ``[W, heads, seg_len, seg_len]``.
+    Padded positions still produce output rows; callers drop them downstream.
     """
     ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.shape != (config.seg_len,):
-        raise ValueError(f"expected {config.seg_len} ids, got shape {ids.shape}")
+    if ids.ndim not in (1, 2) or ids.shape[-1] != config.seg_len:
+        raise ValueError(
+            f"expected {config.seg_len} ids per window, got shape {ids.shape}")
     pad_mask = np.asarray(pad_mask, dtype=bool)
     if pad_mask.shape != ids.shape:
-        raise ValueError("pad_mask shape must match segment_ids")
-    n, d, a, dh = config.seg_len, config.hidden, config.heads, config.head_dim
+        raise ValueError(
+            f"pad_mask shape {pad_mask.shape} must match segment_ids {ids.shape}")
+    windows = ids.reshape(-1, config.seg_len)
+    w, n = windows.shape
+    d, a, dh = config.hidden, config.heads, config.head_dim
 
-    x = embedding_gather(params.token_emb, ids)
+    x = embedding_gather(params.token_emb, windows)               # [W, n, d]
     x = add(x, slice_rows(params.pos_emb, 0, n))
     x = add(x, slice_rows(params.type_emb, 0, 1))  # type-0 row, broadcast
-    x = layer_norm(x, params.emb_ln_g, params.emb_ln_b)
+    x = reshape(layer_norm(x, params.emb_ln_g, params.emb_ln_b), (w * n, d))
 
-    key_mask = pad_mask.reshape(1, 1, n)
+    key_mask = pad_mask.reshape(w, 1, 1, n)
     scale = 1.0 / math.sqrt(dh)
     for blk in params.blocks:
         def split_heads(t):
-            return transpose(reshape(t, (n, a, dh)), (1, 0, 2))
+            return transpose(reshape(t, (w, n, a, dh)), (0, 2, 1, 3))
 
         q = split_heads(_linear(x, blk["q_w"], blk["q_b"]))
         k = split_heads(_linear(x, blk["k_w"], blk["k_b"]))
         v = split_heads(_linear(x, blk["v_w"], blk["v_b"]))
-        scores = mul(matmul(q, transpose(k, (0, 2, 1))), scale)
+        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
         scores = mask_fill(scores, key_mask)
         attn = softmax(scores, axis=-1)
-        ctx = reshape(transpose(matmul(attn, v), (1, 0, 2)), (n, d))
+        ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (w * n, d))
         x = layer_norm(
             add(x, _linear(ctx, blk["o_w"], blk["o_b"])),
             blk["attn_ln_g"],
@@ -193,4 +202,4 @@ def encode_segment(params, config, segment_ids, pad_mask):
             blk["ffn_ln_g"],
             blk["ffn_ln_b"],
         )
-    return x
+    return reshape(x, (w, n, d)) if ids.ndim == 2 else x

@@ -265,6 +265,20 @@ class TestFusedParity:
             err = float(np.abs(g - w).max())
             assert err <= tol * scale, f"{name}: max |diff| {err:.3e}"
 
+    def test_long_rows_float64(self):
+        # the folded backward GEMMs accumulate over every token of a block
+        K, s, d = 2 * BLOCK + 3, 300, 6
+        rng = np.random.default_rng(17)
+        arrays = [rng.normal(size=(s, d)), rng.normal(size=(K, d)),
+                  rng.normal(size=(K, d)), rng.normal(size=K)]
+        probe = rng.normal(size=K)
+        got = _probs_and_grads(predict, arrays, np.float64, probe)
+        want = _probs_and_grads(unfused_predict, arrays, np.float64, probe)
+        for name, g, w in zip(["probs", "E", "Q", "W", "b"], got, want):
+            scale = max(1.0, float(np.abs(w).max()))
+            err = float(np.abs(g - w).max())
+            assert err <= 1e-12 * scale, f"{name}: max |diff| {err:.3e}"
+
     def test_no_k_by_s_array(self):
         # forward and backward together stay well under one [K, s] array
         K, s, d = 8 * BLOCK, 512, 4

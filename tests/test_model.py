@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import segcoder.model as model_mod
+from segcoder import kernels
 from segcoder.cnn import CnnConfig
 from segcoder.corpus import LabelSet
 from segcoder.model import CodingModel, new_model
-from segcoder.tensor import no_grad
-from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, Vocab
+from segcoder.tensor import no_grad, tensor_sum
+from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
 from segcoder.transformer import EncoderConfig
 
 
@@ -141,3 +143,30 @@ class TestPersistence:
         manifest.write_text("".join(l for l in lines if not l.startswith("head.b")))
         with pytest.raises(ValueError, match="head.b"):
             CodingModel.load(tmp_path / "ckpt")
+
+
+class TestBatchedEncoding:
+    def test_one_encoder_pass_and_one_scatter_per_note(self, monkeypatch):
+        # a 37-token note spans 5 windows of 8; all of them go through one
+        # encode_segment call, so the token-embedding lookup scatters once
+        config = EncoderConfig(num_blocks=1, hidden=16, heads=2, intermediate=32,
+                               vocab_size=10, max_positions=8, type_vocab=2,
+                               seg_len=8, include_pooler=False)
+        model = new_model("transformer", config, make_vocab(), LabelSet(["A", "B"]),
+                          s_max=40, seed=0)
+        calls = {"encode_segment": 0, "scatter_add": 0}
+        encode, scatter = model_mod.encode_segment, kernels.active.scatter_add
+
+        def counting_encode(*args):
+            calls["encode_segment"] += 1
+            return encode(*args)
+
+        def counting_scatter(*args):
+            calls["scatter_add"] += 1
+            return scatter(*args)
+
+        monkeypatch.setattr(model_mod, "encode_segment", counting_encode)
+        monkeypatch.setattr(kernels.active, "scatter_add", counting_scatter)
+        ids = np.random.default_rng(3).integers(2, 10, size=37)
+        tensor_sum(model.probs_for_ids(TokenSequence(ids=ids, s=37))).backward()
+        assert calls == {"encode_segment": 1, "scatter_add": 1}

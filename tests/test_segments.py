@@ -5,7 +5,7 @@ import pytest
 
 from conftest import param_gradcheck
 from segcoder.segments import encode_long, plan_segments
-from segcoder.tensor import Tensor, mul, no_grad, tensor_sum
+from segcoder.tensor import Tensor, concat_rows, mul, no_grad, slice_rows, tensor_sum
 from segcoder.tokenizer import TokenSequence, pad_to_multiple
 from segcoder.transformer import EncoderConfig, EncoderParams, encode_segment
 
@@ -21,6 +21,35 @@ def tiny_encoder(seed=7, dtype=np.float32):
         return encode_segment(params, cfg, ids, pad_mask)
 
     return enc, params, cfg
+
+
+def owned_ranges(plan):
+    """Per segment, the contiguous [lo, hi) span of tokens it owns."""
+    ranges = []
+    for i, (start, end) in enumerate(plan.segments):
+        pos = np.nonzero(plan.owner == i)[0]
+        if len(pos) == 0:
+            ranges.append((0, 0))
+            continue
+        lo, hi = int(pos[0]), int(pos[-1]) + 1
+        assert hi - lo == len(pos), f"segment {i} owns a non-contiguous span"
+        assert start <= lo and hi <= end, \
+            f"segment {i} owns [{lo},{hi}) outside its window [{start},{end})"
+        ranges.append((lo, hi))
+    return ranges
+
+
+def encode_long_oracle(encoder, seq, plan):
+    """Reference oracle: the per-window loop the batched ``encode_long``
+    replaced. One encoder call per window, owned rows sliced out and
+    concatenated, then the padded tail dropped."""
+    pad_mask = np.arange(len(seq.ids)) >= seq.s
+    pieces = []
+    for (start, end), (lo, hi) in zip(plan.segments, owned_ranges(plan)):
+        out = encoder(seq.ids[start:end], pad_mask[start:end])
+        if hi > lo:
+            pieces.append(slice_rows(out, lo - start, hi - start))
+    return slice_rows(concat_rows(pieces), 0, seq.s)
 
 
 class TestPlanSegments:
@@ -48,14 +77,14 @@ class TestPlanSegments:
     def test_overlap_tail_window_flush_right(self):
         plan = plan_segments(10, 4, stride=2)
         assert plan.segments == [(0, 4), (2, 6), (4, 8), (6, 10)]
-        ranges = plan.owned_ranges()
+        ranges = owned_ranges(plan)
         assert ranges[0][0] == 0 and ranges[-1][1] == 10
 
     def test_every_position_owned_exactly_once(self):
         for padded, seg, stride in ((12, 4, 0), (20, 5, 2), (16, 8, 3), (9, 4, 1)):
             plan = plan_segments(padded, seg, stride)
             covered = np.zeros(padded, dtype=int)
-            for i, (lo, hi) in enumerate(plan.owned_ranges()):
+            for i, (lo, hi) in enumerate(owned_ranges(plan)):
                 covered[lo:hi] += 1
                 assert np.all(plan.owner[lo:hi] == i)
             assert np.all(covered == 1)
@@ -158,3 +187,50 @@ class TestEncodeLong:
         named = params.named()
         param_gradcheck([t for _, t in named], loss, rtol=1e-3, atol=1e-6,
                         names=[n for n, _ in named])
+
+
+class TestBatchedAgainstLoop:
+    """The one-call ``encode_long`` against the per-window loop it replaced:
+    output and every encoder parameter gradient, each within ``tol`` times
+    the larger of 1 and the oracle's largest magnitude."""
+
+    @staticmethod
+    def _run(fn, dtype, seq, plan):
+        enc, params, cfg = tiny_encoder(seed=11, dtype=dtype)
+        out = fn(enc, seq, plan)
+        probe = np.random.default_rng(2).normal(size=out.data.shape).astype(dtype)
+        tensor_sum(mul(out, Tensor(probe))).backward()
+        return [("out", out.data)] + [(n, t.grad) for n, t in params.named()]
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("s,padded,stride", [
+        (3, 4, 0),       # s < seg_len
+        (12, 12, 0),     # s = 3 * seg_len
+        (9, 12, 0),      # ragged s
+        (10, 10, 2),     # overlapping windows (0,4),(2,6),(4,8),(6,10)
+        (7, 10, 2),      # overlap with a padded tail
+    ])
+    def test_output_and_gradients(self, s, padded, stride, dtype, tol):
+        ids = np.random.default_rng(s * 7 + stride).integers(1, 12, size=padded)
+        ids[s:] = 0
+        seq = TokenSequence(ids=ids, s=s)
+        plan = plan_segments(padded, 4, stride)
+        got = self._run(encode_long, dtype, seq, plan)
+        want = self._run(encode_long_oracle, dtype, seq, plan)
+        for (name, g), (_, w) in zip(got, want):
+            assert g.dtype == dtype, name
+            scale = max(1.0, float(np.abs(w).max()))
+            err = float(np.abs(g - w).max())
+            assert err <= tol * scale, f"{name}: max |diff| {err:.3e}"
+
+    def test_stacked_call_equals_one_call_per_window(self):
+        enc, params, cfg = tiny_encoder()
+        ids = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 1]])
+        mask = np.array([[False, False, False, False],
+                         [False, False, True, True],
+                         [False, True, True, True]])
+        with no_grad():
+            stacked = enc(ids, mask).data
+            single = np.stack([enc(i, m).data for i, m in zip(ids, mask)])
+        assert stacked.shape == (3, cfg.seg_len, cfg.hidden)
+        np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-6)

@@ -78,6 +78,18 @@ class TestEncodeSegment:
         with pytest.raises(ValueError):
             encode_segment(self.params, self.cfg, [1, 2, 3], [False] * 3)
 
+    def test_stacked_windows_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="ids per window"):
+            encode_segment(self.params, self.cfg, np.ones((2, 5), dtype=np.int64),
+                           np.zeros((2, 5), dtype=bool))
+
+    def test_mismatched_pad_mask_rejected(self):
+        ids = np.ones((2, 4), dtype=np.int64)
+        for mask in (np.zeros(4, dtype=bool), np.zeros((3, 4), dtype=bool),
+                     np.zeros(8, dtype=bool)):
+            with pytest.raises(ValueError, match="pad_mask shape"):
+                encode_segment(self.params, self.cfg, ids, mask)
+
     def test_id_out_of_range(self):
         with pytest.raises(IndexError):
             encode_segment(self.params, self.cfg, [1, 2, 3, 10], [False] * 4)
