@@ -1,8 +1,5 @@
 """Segmented long-document encoder with per-class label attention for
 multi-label code assignment, built on a small reverse-mode autodiff core.
-
-Select the compute backend with the SEGCODER_BACKEND environment variable:
-``auto`` (default; compiled kernels when available), ``numba``, or ``numpy``.
 """
 
 from . import kernels

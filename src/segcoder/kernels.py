@@ -1,21 +1,23 @@
 """Numeric kernels behind the autodiff ops.
 
-Two interchangeable implementations of the hot inner loops: a numba-jitted
-one (default when numba imports) and a pure-numpy fallback. Selection:
-
-    SEGCODER_BACKEND=numba   force jitted kernels (error if numba missing)
-    SEGCODER_BACKEND=numpy   force the numpy fallback
-    unset / "auto"           numba if available, else numpy
-
+The hot row-wise and elementwise inner loops, as plain numpy functions.
 Matrix products are not here; they stay on numpy's BLAS path. All kernels
-are single-threaded and deterministic. Row-wise kernels take 2-D arrays,
-elementwise kernels take 1-D arrays; callers reshape.
+are single-threaded and deterministic.
 
-Run ``python benchmarks/bench_kernels.py`` to compare the two backends.
+Shapes:
+
+- ``softmax_fwd``/``softmax_bwd`` and ``layernorm_fwd``/``layernorm_bwd``
+  work row-wise on 2-D ``[n, d]`` arrays; ``layernorm_*`` also return or
+  take the per-row ``mean`` and ``rstd`` of shape ``[n]``.
+- ``gelu_*``, ``sigmoid_*`` and ``adam_update`` are elementwise and take
+  arrays of any shape and layout; ``adam_update`` writes ``p``, ``m`` and
+  ``v`` in place.
+- ``scatter_add(table, ids, rows)`` adds ``rows[i]`` (``[n, d]``) into
+  ``table[ids[i]]`` for an ``[n]`` id array, summing duplicate ids.
+
+The ops reach them through ``active``, so one place can wrap all ten.
 """
 
-import math
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,22 +27,18 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
-
-def _softmax_fwd_np(x):
+def _softmax_fwd(x):
     m = np.max(x, axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def _softmax_bwd_np(dy, y):
+def _softmax_bwd(dy, y):
     inner = np.sum(dy * y, axis=1, keepdims=True)
     return y * (dy - inner)
 
 
-def _layernorm_fwd_np(x, gamma, beta, eps):
+def _layernorm_fwd(x, gamma, beta, eps):
     mean = np.mean(x, axis=1)
     var = np.mean((x - mean[:, None]) ** 2, axis=1)
     rstd = 1.0 / np.sqrt(var + eps)
@@ -48,7 +46,7 @@ def _layernorm_fwd_np(x, gamma, beta, eps):
     return xhat * gamma + beta, mean, rstd
 
 
-def _layernorm_bwd_np(dy, x, gamma, mean, rstd):
+def _layernorm_bwd(dy, x, gamma, mean, rstd):
     xhat = (x - mean[:, None]) * rstd[:, None]
     dgamma = np.sum(dy * xhat, axis=0)
     dbeta = np.sum(dy, axis=0)
@@ -59,17 +57,17 @@ def _layernorm_bwd_np(dy, x, gamma, mean, rstd):
     return dx, dgamma, dbeta
 
 
-def _gelu_fwd_np(x):
+def _gelu_fwd(x):
     return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
 
 
-def _gelu_bwd_np(dy, x):
+def _gelu_bwd(dy, x):
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
     return dy * (cdf + x * pdf)
 
 
-def _sigmoid_fwd_np(x):
+def _sigmoid_fwd(x):
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -78,221 +76,32 @@ def _sigmoid_fwd_np(x):
     return out
 
 
-def _sigmoid_bwd_np(dy, y):
+def _sigmoid_bwd(dy, y):
     return dy * y * (1.0 - y)
 
 
-def _adam_update_np(p, g, m, v, t, lr, beta1, beta2, eps):
-    m[:] = beta1 * m + (1.0 - beta1) * g
-    v[:] = beta2 * v + (1.0 - beta2) * g * g
+def _adam_update(p, g, m, v, t, lr, beta1, beta2, eps):
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def _scatter_add_np(table, ids, rows):
+def _scatter_add(table, ids, rows):
     np.add.at(table, ids, rows)
 
 
-numpy_impl = SimpleNamespace(
+active = SimpleNamespace(
     name="numpy",
-    softmax_fwd=_softmax_fwd_np,
-    softmax_bwd=_softmax_bwd_np,
-    layernorm_fwd=_layernorm_fwd_np,
-    layernorm_bwd=_layernorm_bwd_np,
-    gelu_fwd=_gelu_fwd_np,
-    gelu_bwd=_gelu_bwd_np,
-    sigmoid_fwd=_sigmoid_fwd_np,
-    sigmoid_bwd=_sigmoid_bwd_np,
-    adam_update=_adam_update_np,
-    scatter_add=_scatter_add_np,
+    softmax_fwd=_softmax_fwd,
+    softmax_bwd=_softmax_bwd,
+    layernorm_fwd=_layernorm_fwd,
+    layernorm_bwd=_layernorm_bwd,
+    gelu_fwd=_gelu_fwd,
+    gelu_bwd=_gelu_bwd,
+    sigmoid_fwd=_sigmoid_fwd,
+    sigmoid_bwd=_sigmoid_bwd,
+    adam_update=_adam_update,
+    scatter_add=_scatter_add,
 )
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _softmax_fwd_nb(x):
-        n, d = x.shape
-        out = np.empty_like(x)
-        for i in range(n):
-            m = x[i, 0]
-            for j in range(1, d):
-                if x[i, j] > m:
-                    m = x[i, j]
-            s = 0.0
-            for j in range(d):
-                e = math.exp(x[i, j] - m)
-                out[i, j] = e
-                s += e
-            inv = 1.0 / s
-            for j in range(d):
-                out[i, j] *= inv
-        return out
-
-    @njit(cache=True)
-    def _softmax_bwd_nb(dy, y):
-        n, d = y.shape
-        dx = np.empty_like(y)
-        for i in range(n):
-            inner = 0.0
-            for j in range(d):
-                inner += dy[i, j] * y[i, j]
-            for j in range(d):
-                dx[i, j] = y[i, j] * (dy[i, j] - inner)
-        return dx
-
-    @njit(cache=True)
-    def _layernorm_fwd_nb(x, gamma, beta, eps):
-        n, d = x.shape
-        out = np.empty_like(x)
-        mean = np.empty(n, dtype=x.dtype)
-        rstd = np.empty(n, dtype=x.dtype)
-        for i in range(n):
-            mu = 0.0
-            for j in range(d):
-                mu += x[i, j]
-            mu /= d
-            var = 0.0
-            for j in range(d):
-                diff = x[i, j] - mu
-                var += diff * diff
-            var /= d
-            r = 1.0 / math.sqrt(var + eps)
-            mean[i] = mu
-            rstd[i] = r
-            for j in range(d):
-                out[i, j] = (x[i, j] - mu) * r * gamma[j] + beta[j]
-        return out, mean, rstd
-
-    @njit(cache=True)
-    def _layernorm_bwd_nb(dy, x, gamma, mean, rstd):
-        n, d = x.shape
-        dx = np.empty_like(x)
-        dgamma = np.zeros(d, dtype=x.dtype)
-        dbeta = np.zeros(d, dtype=x.dtype)
-        for i in range(n):
-            mu = mean[i]
-            r = rstd[i]
-            m1 = 0.0
-            m2 = 0.0
-            for j in range(d):
-                xhat = (x[i, j] - mu) * r
-                dxh = dy[i, j] * gamma[j]
-                dgamma[j] += dy[i, j] * xhat
-                dbeta[j] += dy[i, j]
-                m1 += dxh
-                m2 += dxh * xhat
-            m1 /= d
-            m2 /= d
-            for j in range(d):
-                xhat = (x[i, j] - mu) * r
-                dx[i, j] = r * (dy[i, j] * gamma[j] - m1 - xhat * m2)
-        return dx, dgamma, dbeta
-
-    @njit(cache=True)
-    def _gelu_fwd_nb(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            v = x[i]
-            out[i] = 0.5 * v * (1.0 + math.erf(v * _INV_SQRT2))
-        return out
-
-    @njit(cache=True)
-    def _gelu_bwd_nb(dy, x):
-        dx = np.empty_like(x)
-        for i in range(x.shape[0]):
-            v = x[i]
-            cdf = 0.5 * (1.0 + math.erf(v * _INV_SQRT2))
-            pdf = math.exp(-0.5 * v * v) * _INV_SQRT2PI
-            dx[i] = dy[i] * (cdf + v * pdf)
-        return dx
-
-    @njit(cache=True)
-    def _sigmoid_fwd_nb(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            v = x[i]
-            if v >= 0.0:
-                out[i] = 1.0 / (1.0 + math.exp(-v))
-            else:
-                e = math.exp(v)
-                out[i] = e / (1.0 + e)
-        return out
-
-    @njit(cache=True)
-    def _sigmoid_bwd_nb(dy, y):
-        dx = np.empty_like(y)
-        for i in range(y.shape[0]):
-            dx[i] = dy[i] * y[i] * (1.0 - y[i])
-        return dx
-
-    @njit(cache=True)
-    def _adam_update_nb(p, g, m, v, t, lr, beta1, beta2, eps):
-        c1 = 1.0 - beta1 ** t
-        c2 = 1.0 - beta2 ** t
-        for i in range(p.shape[0]):
-            mi = beta1 * m[i] + (1.0 - beta1) * g[i]
-            vi = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            m[i] = mi
-            v[i] = vi
-            p[i] -= lr * (mi / c1) / (math.sqrt(vi / c2) + eps)
-
-    @njit(cache=True)
-    def _scatter_add_nb(table, ids, rows):
-        n, d = rows.shape
-        for i in range(n):
-            r = ids[i]
-            for j in range(d):
-                table[r, j] += rows[i, j]
-
-    numba_impl = SimpleNamespace(
-        name="numba",
-        softmax_fwd=_softmax_fwd_nb,
-        softmax_bwd=_softmax_bwd_nb,
-        layernorm_fwd=_layernorm_fwd_nb,
-        layernorm_bwd=_layernorm_bwd_nb,
-        gelu_fwd=_gelu_fwd_nb,
-        gelu_bwd=_gelu_bwd_nb,
-        sigmoid_fwd=_sigmoid_fwd_nb,
-        sigmoid_bwd=_sigmoid_bwd_nb,
-        adam_update=_adam_update_nb,
-        scatter_add=_scatter_add_nb,
-    )
-else:
-    numba_impl = None
-
-
-def available_backends():
-    names = ["numpy"]
-    if numba_impl is not None:
-        names.append("numba")
-    return names
-
-
-def set_backend(name):
-    """Switch the active kernel set. Accepts 'numpy', 'numba' or 'auto'."""
-    global active
-    if name == "auto":
-        active = numba_impl if numba_impl is not None else numpy_impl
-    elif name == "numpy":
-        active = numpy_impl
-    elif name == "numba":
-        if numba_impl is None:
-            raise RuntimeError("SEGCODER_BACKEND=numba but numba is not importable")
-        active = numba_impl
-    else:
-        raise ValueError(f"unknown backend {name!r}; expected numpy, numba or auto")
-    return active
-
-
-active = set_backend(os.environ.get("SEGCODER_BACKEND", "auto"))

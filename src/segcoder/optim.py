@@ -44,17 +44,7 @@ def adam_step(params, grads, state):
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        update(
-            p.data.reshape(-1),
-            np.ascontiguousarray(g.reshape(-1)),
-            m.reshape(-1),
-            v.reshape(-1),
-            state.t,
-            state.lr,
-            state.beta1,
-            state.beta2,
-            state.eps,
-        )
+        update(p.data, g, m, v, state.t, state.lr, state.beta1, state.beta2, state.eps)
     return params, state
 
 

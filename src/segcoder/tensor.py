@@ -329,30 +329,19 @@ def tanh(a):
 
 
 def sigmoid(a):
-    flat = np.ascontiguousarray(a.data.reshape(-1))
-    y = kernels.active.sigmoid_fwd(flat).reshape(a.data.shape)
-    out = _make(y, (a,))
+    out = _make(kernels.active.sigmoid_fwd(a.data), (a,))
     if out.requires_grad:
         def _bw():
-            dx = kernels.active.sigmoid_bwd(
-                np.ascontiguousarray(out.grad.reshape(-1)),
-                np.ascontiguousarray(out.data.reshape(-1)),
-            )
-            a._accum(dx.reshape(a.data.shape))
+            a._accum(kernels.active.sigmoid_bwd(out.grad, out.data))
         out._backward = _bw
     return out
 
 
 def gelu(a):
-    flat = np.ascontiguousarray(a.data.reshape(-1))
-    y = kernels.active.gelu_fwd(flat).reshape(a.data.shape)
-    out = _make(y, (a,))
+    out = _make(kernels.active.gelu_fwd(a.data), (a,))
     if out.requires_grad:
         def _bw():
-            dx = kernels.active.gelu_bwd(
-                np.ascontiguousarray(out.grad.reshape(-1)), flat
-            )
-            a._accum(dx.reshape(a.data.shape))
+            a._accum(kernels.active.gelu_bwd(out.grad, a.data))
         out._backward = _bw
     return out
 
@@ -420,8 +409,7 @@ def embedding_gather(table, ids):
         def _bw():
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            rows = np.ascontiguousarray(out.grad.reshape(-1, d))
-            kernels.active.scatter_add(table.grad, ids.reshape(-1), rows)
+            kernels.active.scatter_add(table.grad, ids.reshape(-1), out.grad.reshape(-1, d))
         out._backward = _bw
     return out
 

@@ -38,6 +38,25 @@ class TestAdamStep:
         adam_step(params, [g], state)
         np.testing.assert_allclose(params[0].data, expected, rtol=1e-5)
 
+    def test_transposed_parameter_updated_in_place(self, rng):
+        # a non-C-contiguous parameter must be updated where it lives, with
+        # the same bits as the same update on a contiguous copy
+        base = rng.normal(size=(3, 2)).astype(np.float32)
+        before = base.T.copy()
+        grads = rng.normal(size=(2, 3, 2)).astype(np.float32)
+        p_t = Tensor(base.T, requires_grad=True)
+        p_c = Tensor(before.copy(), requires_grad=True)
+        assert not p_t.data.flags.c_contiguous
+        s_t, s_c = init_adam([p_t], lr=0.1), init_adam([p_c], lr=0.1)
+        for g in grads:
+            adam_step([p_t], [g.T], s_t)
+            adam_step([p_c], [np.ascontiguousarray(g.T)], s_c)
+        assert not np.array_equal(p_t.data, before)
+        np.testing.assert_array_equal(base.T, p_t.data)
+        np.testing.assert_array_equal(p_t.data, p_c.data)
+        np.testing.assert_array_equal(s_t.m[0], s_c.m[0])
+        np.testing.assert_array_equal(s_t.v[0], s_c.v[0])
+
     def test_shape_mismatch_rejected(self, rng):
         params = make_params(rng, [(3,)])
         state = init_adam(params, lr=0.1)

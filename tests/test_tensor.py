@@ -70,6 +70,20 @@ class TestForward:
     def test_sigmoid_zero_is_half(self):
         assert sigmoid(Tensor(np.zeros(1, dtype=np.float32))).data[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("op", [sigmoid, gelu])
+    def test_elementwise_on_transposed_input_matches_contiguous(self, op, rng):
+        xt = rng.normal(size=(4, 3)).astype(np.float32).T * 3
+        w = rng.normal(size=(3, 4)).astype(np.float32)
+        assert xt.shape == (3, 4) and not xt.flags.c_contiguous
+        runs = []
+        for x in (xt, np.ascontiguousarray(xt)):
+            t = Tensor(x, requires_grad=True)
+            out = op(t)
+            weighted(out, w).backward()
+            runs.append((out.data, t.grad))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
     def test_gather_duplicates_rows(self):
         table = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2), requires_grad=True)
         out = embedding_gather(table, np.array([0, 0]))
