@@ -81,11 +81,25 @@ def _sigmoid_bwd(dy, y):
 
 
 def _adam_update(p, g, m, v, t, lr, beta1, beta2, eps):
-    m[...] = beta1 * m + (1.0 - beta1) * g
-    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    # m = beta1 m + (1 - beta1) g; v = beta2 v + ((1 - beta2) g) g;
+    # p -= (lr (m / c1)) / (sqrt(v / c2) + eps): the same operations in the
+    # same order as the textbook expression, in place with two scratch arrays
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    a = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += a
+    np.multiply(g, 1.0 - beta2, out=a)
+    a *= g
+    v *= beta2
+    v += a
+    np.divide(m, c1, out=a)
+    a *= lr
+    r = np.divide(v, c2)
+    np.sqrt(r, out=r)
+    r += eps
+    a /= r
+    p -= a
 
 
 def _scatter_add(table, ids, rows):

@@ -88,7 +88,8 @@ class CodingModel:
         order = np.argsort(-probs, kind="stable")
         if top_n is not None:
             order = order[:top_n]
-        return [(self.label_set.codes[i], float(probs[i])) for i in order]
+        codes = self.label_set.codes
+        return list(zip([codes[i] for i in order.tolist()], probs[order].tolist()))
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)

@@ -157,13 +157,6 @@ def _released():
         "released; run the forward pass again")
 
 
-def as_tensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else np.float32)
-    return Tensor(arr)
-
-
 def _make(data, parents):
     if _CHECK_FINITE and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite values in op output")

@@ -77,26 +77,31 @@ def _is_punctuation(ch):
     return unicodedata.category(ch).startswith("P")
 
 
+_SPLIT_CACHE = 4096  # code points the split table keeps
+
+
+class _SplitTable(dict):
+    """``str.translate`` table that pads each punctuation character with
+    spaces and maps every other character to itself, so that ``split()``
+    makes each punctuation character its own word. It caches the first
+    ``_SPLIT_CACHE`` code points it sees and computes the rest each time,
+    so no input can grow it without bound."""
+
+    def __missing__(self, cp):
+        ch = chr(cp)
+        out = f" {ch} " if _is_punctuation(ch) else ch
+        if len(self) < _SPLIT_CACHE:
+            self[cp] = out
+        return out
+
+
+_SPLIT_TABLE = _SplitTable()
+
+
 def basic_split(text):
     """Lowercase, then split into whitespace-delimited words with each
     punctuation character as its own word."""
-    words = []
-    buf = []
-    for ch in text.lower():
-        if ch.isspace():
-            if buf:
-                words.append("".join(buf))
-                buf = []
-        elif _is_punctuation(ch):
-            if buf:
-                words.append("".join(buf))
-                buf = []
-            words.append(ch)
-        else:
-            buf.append(ch)
-    if buf:
-        words.append("".join(buf))
-    return words
+    return text.lower().translate(_SPLIT_TABLE).split()
 
 
 def wordpiece_word(word, vocab):

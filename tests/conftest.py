@@ -18,17 +18,25 @@ def fd_gradients(fn, tensors, h=FD_H):
     grads = []
     with no_grad():
         for t in tensors:
+            # perturb a C-contiguous copy, whose reshape is a view (for a
+            # transposed input, t.data.reshape(-1) is a detached copy), and
+            # hand the original array back after
+            data = t.data
+            t.data = np.array(data, order="C")
             flat = t.data.reshape(-1)
             g = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = float(fn(*tensors).data)
-                flat[i] = orig - h
-                fm = float(fn(*tensors).data)
-                flat[i] = orig
-                g[i] = (fp - fm) / (2.0 * h)
-            grads.append(g.reshape(t.data.shape))
+            try:
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + h
+                    fp = float(fn(*tensors).data)
+                    flat[i] = orig - h
+                    fm = float(fn(*tensors).data)
+                    flat[i] = orig
+                    g[i] = (fp - fm) / (2.0 * h)
+            finally:
+                t.data = data
+            grads.append(g.reshape(data.shape))
     return grads
 
 

@@ -81,6 +81,32 @@ class TestReference:
             for got, want in zip(results[-1], results[0]):
                 np.testing.assert_array_equal(got, lay(want))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_adam_update_bit_identical_to_formula(self, impl, rng, dtype, transposed):
+        # the in-place kernel against the expression it replaced, bit for bit
+        def formula(p, g, m, v, t, lr, beta1, beta2, eps):
+            m[...] = beta1 * m + (1.0 - beta1) * g
+            v[...] = beta2 * v + (1.0 - beta2) * g * g
+            c1 = 1.0 - beta1 ** t
+            c2 = 1.0 - beta2 ** t
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+        def lay(a):
+            return a.T.copy().T if transposed else a.copy()
+
+        p0 = rng.normal(size=(37, 5)).astype(dtype)
+        got = [lay(p0), lay(np.zeros_like(p0)), lay(np.zeros_like(p0))]
+        want = [p0.copy(), np.zeros_like(p0), np.zeros_like(p0)]
+        assert got[0].flags.c_contiguous != transposed
+        for t in range(1, 31):
+            g = (rng.normal(size=p0.shape) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+            impl.adam_update(*got[:1], lay(g), *got[1:], t, 3e-3, 0.9, 0.999, 1e-8)
+            formula(*want[:1], g, *want[1:], t, 3e-3, 0.9, 0.999, 1e-8)
+            for a, b in zip(got, want):
+                assert a.dtype == dtype
+                np.testing.assert_array_equal(a, b)
+
     def test_scatter_add_matches_add_at(self, impl, rng):
         table = rng.normal(size=(6, 3))
         ids = np.array([0, 5, 5, 2, 0, 0], dtype=np.int64)

@@ -7,16 +7,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import segcoder.label_attention as la
 from segcoder.label_attention import (
     BLOCK,
+    FAST_MIN,
+    SAFE,
     LabelHeadParams,
     attention_param_count,
     attention_weights,
     classifier_param_count,
     predict,
 )
-from segcoder.tensor import (Tensor, add, matmul, mul, reshape, sigmoid, softmax,
-                             tensor_sum, transpose)
+from segcoder.tensor import (Tensor, add, matmul, mul, no_grad, reshape, sigmoid,
+                             softmax, tensor_sum, transpose)
 
 from conftest import param_gradcheck
 
@@ -239,6 +242,26 @@ def _probs_and_grads(fn, arrays, dtype, probe):
     return [p.data, E.grad, Q.grad, W.grad, b.grad]
 
 
+def _record_paths(monkeypatch):
+    """The names of the forwards label_logits runs, in call order."""
+    ran = []
+    for name in ("_forward_exact", "_forward_bounded"):
+        def spy(*args, _fn=getattr(la, name), _name=name):
+            ran.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(la, name, spy)
+    return ran
+
+
+def _assert_parity(got, want, dtype, tol):
+    for name, g, w in zip(["probs", "E", "Q", "W", "b"], got, want):
+        assert g.dtype == dtype, name
+        assert np.all(np.isfinite(g)), name
+        scale = max(1.0, float(np.abs(w).max()))
+        err = float(np.abs(g - w).max())
+        assert err <= tol * scale, f"{name}: max |diff| {err:.3e}"
+
+
 class TestFusedParity:
     """The fused head against the unfused oracle. Each array must agree to
     ``tol`` times the larger of 1 and the oracle's largest magnitude: the
@@ -258,12 +281,8 @@ class TestFusedParity:
                   rng.normal(size=(K, d)), rng.normal(size=K)]
         probe = rng.normal(size=K)
         got = _probs_and_grads(predict, arrays, dtype, probe)
-        want = _probs_and_grads(unfused_predict, arrays, dtype, probe)
-        for name, g, w in zip(["probs", "E", "Q", "W", "b"], got, want):
-            assert g.dtype == dtype, name
-            scale = max(1.0, float(np.abs(w).max()))
-            err = float(np.abs(g - w).max())
-            assert err <= tol * scale, f"{name}: max |diff| {err:.3e}"
+        _assert_parity(got, _probs_and_grads(unfused_predict, arrays, dtype, probe),
+                       dtype, tol)
 
     def test_long_rows_float64(self):
         # the folded backward GEMMs accumulate over every token of a block
@@ -273,11 +292,8 @@ class TestFusedParity:
                   rng.normal(size=(K, d)), rng.normal(size=K)]
         probe = rng.normal(size=K)
         got = _probs_and_grads(predict, arrays, np.float64, probe)
-        want = _probs_and_grads(unfused_predict, arrays, np.float64, probe)
-        for name, g, w in zip(["probs", "E", "Q", "W", "b"], got, want):
-            scale = max(1.0, float(np.abs(w).max()))
-            err = float(np.abs(g - w).max())
-            assert err <= 1e-12 * scale, f"{name}: max |diff| {err:.3e}"
+        _assert_parity(got, _probs_and_grads(unfused_predict, arrays, np.float64, probe),
+                       np.float64, 1e-12)
 
     def test_no_k_by_s_array(self):
         # forward and backward together stay well under one [K, s] array
@@ -293,3 +309,69 @@ class TestFusedParity:
         finally:
             tracemalloc.stop()
         assert peak < full / 2, f"peak {peak} B vs one [K, s] array {full} B"
+
+
+class TestUnshiftedParity:
+    """Large heads with bounded scores skip the shift; the rest take the
+    exact row max. Both against the unfused oracle, at the tolerances of
+    TestFusedParity."""
+
+    K, s, d = 2 * BLOCK + 3, 64, 4    # ragged last block, K s >= FAST_MIN
+
+    def arrays(self, seed, bound=None, e_scale=1.0):
+        rng = np.random.default_rng(seed)
+        E = rng.normal(size=(self.s, self.d)) * e_scale
+        Q = rng.normal(size=(self.K, self.d))
+        if bound is not None:   # rescale Q so max|q_c| max|e_t| == bound
+            Q *= bound / (np.linalg.norm(Q, axis=1).max() * np.linalg.norm(E, axis=1).max())
+        return [E, Q, rng.normal(size=(self.K, self.d)), rng.normal(size=self.K)], \
+            rng.normal(size=self.K)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("bound,path", [
+        (0.25 * SAFE, "_forward_bounded"),
+        (0.99 * SAFE, "_forward_bounded"),   # just under SAFE
+        (1.01 * SAFE, "_forward_exact"),     # just over SAFE
+    ])
+    def test_forward_and_gradients(self, monkeypatch, bound, path, dtype, tol):
+        assert self.K * self.s >= FAST_MIN and self.K % BLOCK
+        arrays, probe = self.arrays(7, bound)
+        ran = _record_paths(monkeypatch)
+        got = _probs_and_grads(predict, arrays, dtype, probe)
+        assert ran == [path]
+        _assert_parity(got, _probs_and_grads(unfused_predict, arrays, dtype, probe),
+                       dtype, tol)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_large_scores_take_exact_path(self, monkeypatch, dtype):
+        # E x 100 puts scores in the hundreds: exp(q . e) would overflow.
+        # In float32 the exact path, unchanged, and the oracle already differ
+        # by up to 1e-5 of the largest value here, so only float64 is held to
+        # the parity bound.
+        arrays, probe = self.arrays(7, e_scale=100.0)
+        ran = _record_paths(monkeypatch)
+        got = _probs_and_grads(predict, arrays, dtype, probe)
+        assert ran == ["_forward_exact"]
+        assert all(np.all(np.isfinite(g)) for g in got)
+        if dtype == np.float64:
+            _assert_parity(got, _probs_and_grads(unfused_predict, arrays, dtype, probe),
+                           dtype, 1e-12)
+
+    def test_small_heads_keep_exact_path(self, monkeypatch):
+        # under FAST_MIN scores, or fewer than FAST_MIN_CODES_PER_DIM * d codes
+        ran = _record_paths(monkeypatch)
+        for K, s, d in [(self.K, 9, 4), (8, 2 * FAST_MIN, 4),
+                        (la.FAST_MIN_CODES_PER_DIM * 4 - 1, FAST_MIN, 4)]:
+            rng = np.random.default_rng(K + s)
+            E = Tensor(rng.normal(size=(s, d)) * 0.01)
+            head = LabelHeadParams(K, d, rng, dtype=np.float64)
+            predict(E, head)
+        assert ran == ["_forward_exact"] * 3
+
+    def test_non_finite_bound_takes_exact_path(self, monkeypatch):
+        arrays, _ = self.arrays(3, 0.5 * SAFE)
+        arrays[0][0, 0] = np.inf
+        ran = _record_paths(monkeypatch)
+        with no_grad(), np.errstate(invalid="ignore"):
+            predict(Tensor(arrays[0]), head_from_arrays(*arrays[1:]))
+        assert ran == ["_forward_exact"]

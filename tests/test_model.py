@@ -8,7 +8,7 @@ from segcoder import kernels
 from segcoder.cnn import CnnConfig
 from segcoder.corpus import LabelSet
 from segcoder.model import CodingModel, new_model
-from segcoder.tensor import no_grad, tensor_sum
+from segcoder.tensor import Tensor, no_grad, tensor_sum
 from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
 from segcoder.transformer import EncoderConfig
 
@@ -96,6 +96,25 @@ class TestPrediction:
         assert {c for c, _ in ranked} == {"A", "B", "C"}
         assert model.rank_codes("t0 t1", top_n=2) == ranked[:2] or \
                len(model.rank_codes("t0 t1", top_n=2)) == 2
+
+    @pytest.mark.parametrize("top_n", [None, 0, 4, 50])
+    def test_rank_codes_matches_listcomp_under_ties(self, monkeypatch, top_n):
+        model = transformer_model()
+        model.label_set = LabelSet([f"C{i:02d}" for i in range(12)])
+        probs = np.array([0.5, 0.25, 0.5, 0.9, 0.25, 0.1, 0.5, 0.9, 0.0, 1.0,
+                          0.25, 0.3], dtype=np.float32)
+        probs[11] = np.nextafter(probs[11], np.float32(1))
+        monkeypatch.setattr(model, "probs_for_text", lambda text: Tensor(probs))
+        p64 = probs.astype(np.float64)
+        order = np.argsort(-p64, kind="stable")
+        if top_n is not None:
+            order = order[:top_n]
+        want = [(model.label_set.codes[i], float(p64[i])) for i in order]
+        got = model.rank_codes("t0", top_n=top_n)
+        assert got == want
+        assert all(type(c) is str and type(p) is float for c, p in got)
+        # ties keep code order
+        assert [c for c, _ in got[:3]] == ["C09", "C03", "C07"][:len(got)]
 
     def test_cnn_uses_word_ids(self):
         model = cnn_model()

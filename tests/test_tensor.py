@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import fd_gradients, gradcheck
 from segcoder.tensor import (MASK_FILL_VALUE, Tensor, add, clamp, concat_rows,
                              embedding_gather, gelu, layer_norm, log,
                              mask_fill, matmul, mul, neg, no_grad, reshape,
@@ -199,6 +199,23 @@ class TestGradients:
         w = r.normal(size=(3, 4))
         gradcheck(lambda x, y: weighted(add(x, y), w), [a, b])
         gradcheck(lambda x, y: weighted(mul(x, y), w), [a, b])
+
+    def test_fd_oracle_on_transposed_input(self):
+        # a transposed float64 input stays a non-contiguous view
+        x = Tensor(np.arange(6, dtype=np.float64).reshape(3, 2).T)
+        assert not x.data.flags.c_contiguous
+        before = x.data
+        (g,) = fd_gradients(lambda t: tensor_sum(mul(t, t)), [x])
+        np.testing.assert_allclose(g, 2 * x.data, atol=1e-8)
+        assert x.data is before
+        np.testing.assert_array_equal(before, np.arange(6).reshape(3, 2).T)
+
+    @pytest.mark.parametrize("seed", SEEDS[:5])
+    def test_matmul_transposed_inputs(self, seed):
+        r = np.random.default_rng(seed)
+        a, b = r.normal(size=(4, 3)).T, r.normal(size=(2, 4)).T
+        w = r.normal(size=(3, 2))
+        gradcheck(lambda x, y: weighted(matmul(x, y), w), [a, b])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matmul(self, seed):

@@ -3,10 +3,14 @@ and padding to a whole number of segments."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segcoder.tokenizer import (PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab,
-                                basic_split, detokenize, pad_to_multiple,
-                                tokenize, truncate, wordpiece_word)
+                                _SPLIT_CACHE, _SPLIT_TABLE, _is_punctuation,
+                                basic_split, detokenize,
+                                pad_to_multiple, tokenize, truncate,
+                                wordpiece_word)
 
 
 def toy_vocab(extra=()):
@@ -35,6 +39,27 @@ class TestVocab:
         assert v2.pad_id == 0 and v2.unk_id == v.unk_id
 
 
+def loop_split(text):
+    """Oracle: the per-character loop that basic_split replaced."""
+    words = []
+    buf = []
+    for ch in text.lower():
+        if ch.isspace():
+            if buf:
+                words.append("".join(buf))
+                buf = []
+        elif _is_punctuation(ch):
+            if buf:
+                words.append("".join(buf))
+                buf = []
+            words.append(ch)
+        else:
+            buf.append(ch)
+    if buf:
+        words.append("".join(buf))
+    return words
+
+
 class TestBasicSplit:
     def test_lowercase_and_whitespace(self):
         assert basic_split("Hello  World") == ["hello", "world"]
@@ -45,6 +70,25 @@ class TestBasicSplit:
     def test_empty(self):
         assert basic_split("") == []
         assert basic_split("   \t\n") == []
+
+    def test_table_stops_growing(self):
+        text = "".join(chr(cp) for cp in range(0x4E00, 0x4E00 + 2 * _SPLIT_CACHE))
+        text += " . x"
+        assert basic_split(text) == loop_split(text)
+        assert len(_SPLIT_TABLE) <= _SPLIT_CACHE
+
+    @settings(max_examples=500, derandomize=True, database=None)
+    @given(st.text(st.characters(exclude_categories=())))
+    @example("")
+    @example(" \t\n\r\x0b\x0c")
+    @example("\u0130stanbul")        # İ lowercases to two code points
+    @example("Stra\u00dfe")          # ß
+    @example("a\u0085b")             # NEL is whitespace
+    @example("a\u3000b")             # ideographic space
+    @example("x\ud800y")             # a lone surrogate
+    @example("(a),[b]{c}!?\u00bf")  # ASCII punctuation and U+00BF (Po)
+    def test_matches_loop(self, text):
+        assert basic_split(text) == loop_split(text)
 
 
 class TestTokenize:
