@@ -8,16 +8,14 @@ layer holds d*K scalars and the classifier layer (d+1)*K.
 The head is one autodiff op for the K logits. It visits the codes in blocks
 of ``BLOCK`` rows and reuses one [block, s] buffer for their scores, so the
 working memory is O(block * s) rather than O(K * s), and no [K, s] array is
-kept in the graph. Softmax needs each code's scores shifted only so that
-exp neither overflows nor underflows. Every score obeys |q_c . e_t| <= b =
-max_c |q_c| max_t |e_t|, so when b <= ``SAFE`` a large head skips the shift:
-exp(q @ e.T) is the one elementwise pass over each [block, s] buffer, and
-z's GEMM against [e | 1] returns the row sum as its last column. Small
-heads, and heads whose bound is over ``SAFE``, shift each code by its exact
-row max instead. Backward recomputes each block's attention weights from
-the saved per-code shift (the max, or 0) and sum instead of storing them,
-in the manner of FlashAttention (Dao et al., 2022), and folds both into the
-GEMMs the recompute already runs.
+kept in the graph. Forward shifts each block's scores by their row max,
+takes exp in place, and gets the row sums as a GEMV against a ones vector:
+BLAS reads the buffer several times faster than a numpy row reduction.
+Backward recomputes each block's attention weights from the saved row
+maxima and sums instead of storing them, in the manner of FlashAttention
+(Dao et al., 2022), and folds the max and the sum into the GEMMs the
+recompute already runs, so it makes no separate pass over a [block, s]
+buffer to subtract or divide them.
 """
 
 import numpy as np
@@ -26,22 +24,6 @@ from .tensor import Tensor, _make, matmul, reshape, sigmoid, softmax
 from .transformer import truncated_normal
 
 BLOCK = 512  # codes per block; 256-2048 run equally fast
-# Largest score bound the unshifted path takes: exp then lies in
-# [e^-20, e^20], far inside float32 range for any s. Its float32 parity
-# errors against the unfused head matched the exact path's at every bound
-# from 4 to 60 (about 1e-6 of the largest value at 40 and over, on both).
-SAFE = 20.0
-# The unshifted path adds O(s d) work per call (the bound and [e | 1]) and
-# saves two or three passes over each score, so it pays when K is large next
-# to d. Timed in float32 on 2 cores, exact -> unshifted per call: for K < 4d
-# it lost on long notes (d = 32, K = 20, s = 4,096: 0.28 -> 0.37 ms;
-# d = 256, K = 50, s = 2,048: 0.97 -> 1.35 ms); for K >= 4d it won at every
-# s tried (d = 32, K = 128, s = 16-4,096: 5-27%; d = 256, K = 1,024,
-# s = 2,048: 7%; d = 32, K = 8,922, s = 1,124-1,892: 29-34%). Heads under
-# 2^16 scores, where a call takes microseconds either way, keep the exact
-# path.
-FAST_MIN = 1 << 16          # scores K s
-FAST_MIN_CODES_PER_DIM = 4  # codes K per hidden dim d
 
 
 class LabelHeadParams:
@@ -80,102 +62,58 @@ def attention_weights(E, q_c):
     return reshape(softmax(scores, axis=-1), (s,))
 
 
-def _with_ones(e):
-    """e1 = [e | 1]: each token row with a 1 appended."""
-    e1 = np.empty((e.shape[0], e.shape[1] + 1), dtype=e.dtype)
-    e1[:, :-1] = e
-    e1[:, -1] = 1
-    return e1
-
-
-def _forward_exact(e, q, z, shift, row_sum):
-    """Shift each code by its row max: four passes over each [block, s]
-    buffer (max, subtract, exp, sum) around the two GEMMs."""
-    K, s = q.shape[0], e.shape[0]
-    buf = np.empty((min(BLOCK, K), s), dtype=e.dtype)
-    for lo in range(0, K, BLOCK):
-        hi = min(lo + BLOCK, K)
-        a = buf[: hi - lo]
-        np.matmul(q[lo:hi], e.T, out=a)
-        np.max(a, axis=1, keepdims=True, out=shift[lo:hi])
-        a -= shift[lo:hi]
-        np.exp(a, out=a)
-        np.sum(a, axis=1, keepdims=True, out=row_sum[lo:hi])
-        np.matmul(a, e, out=z[lo:hi])
-        z[lo:hi] /= row_sum[lo:hi]
-
-
-def _forward_bounded(e, e1, q, z, row_sum):
-    """Scores bounded by ``SAFE`` need no shift: exp(q @ e.T) @ e1 is
-    [z * sum | sum], so the one pass over each [block, s] buffer is the
-    exp."""
-    K, d = q.shape
-    n = min(BLOCK, K)
-    zs = np.empty((n, d + 1), dtype=q.dtype)     # [z * sum | sum]
-    buf = np.empty((n, e.shape[0]), dtype=q.dtype)
-    for lo in range(0, K, BLOCK):
-        hi = min(lo + BLOCK, K)
-        a = buf[: hi - lo]
-        np.matmul(q[lo:hi], e.T, out=a)
-        np.exp(a, out=a)
-        np.matmul(a, e1, out=zs[: hi - lo])
-        row_sum[lo:hi] = zs[: hi - lo, d:]
-        np.divide(zs[: hi - lo, :d], row_sum[lo:hi], out=z[lo:hi])
-
-
 def label_logits(E, Q, W, b):
     """Logits [K] of the label-attention head over tokens E [s, d].
 
     logit_c = w_c . softmax(E q_c)^T E + b_c, computed block by block over
     the codes; see the module docstring. Forward keeps only z [K, d] and
-    the per-code shift and sum; backward folds both into the GEMMs that
+    the per-code row max and sum; backward folds both into the GEMMs that
     recompute each block's attention weights.
     """
     dtype = np.result_type(E.data, Q.data, W.data, b.data)
     e, q, w = (np.asarray(t.data, dtype=dtype) for t in (E, Q, W))
     K, s = q.shape[0], e.shape[0]
     z = np.empty((K, e.shape[1]), dtype=dtype)
-    shift = np.empty((K, 1), dtype=dtype)
+    row_max = np.empty((K, 1), dtype=dtype)
     row_sum = np.empty((K, 1), dtype=dtype)
-    e1 = None
-    if K * s >= FAST_MIN and K >= FAST_MIN_CODES_PER_DIM * e.shape[1]:
-        # |q_c . e_t| <= |q_c| max_t |e_t|; a NaN or inf bound fails the test
-        bound2 = np.einsum("kd,kd->k", q, q).max() * np.einsum("sd,sd->s", e, e).max()
-        if bound2 <= SAFE * SAFE:
-            e1 = _with_ones(e)
-    if e1 is None:
-        _forward_exact(e, q, z, shift, row_sum)
-    else:
-        shift[:] = 0
-        _forward_bounded(e, e1, q, z, row_sum)
+    ones = np.ones(s, dtype=dtype)
+    buf = np.empty((min(BLOCK, K), s), dtype=dtype)
+    for lo in range(0, K, BLOCK):
+        hi = min(lo + BLOCK, K)
+        a = buf[: hi - lo]
+        np.matmul(q[lo:hi], e.T, out=a)
+        np.max(a, axis=1, keepdims=True, out=row_max[lo:hi])
+        a -= row_max[lo:hi]
+        np.exp(a, out=a)
+        np.matmul(a, ones, out=row_sum[lo:hi, 0])
+        np.matmul(a, e, out=z[lo:hi])
+        z[lo:hi] /= row_sum[lo:hi]
     out = _make(np.einsum("kd,kd->k", z, w) + b.data, (E, Q, W, b))
     if out.requires_grad:
         def _bw():
-            nonlocal e1
             g = out.grad[:, None]
             if W.requires_grad:
                 W._accum(g * z)
             if b.requires_grad:
                 b._accum(out.grad)
-            # exp([q | -shift] @ e1.T) is alpha * sum, and
+            # With e1 = [e | 1], exp([q | -max] @ e1.T) is alpha * sum, and
             # ([dz | -dz.z] / sum) @ e1.T times it is dscores: one GEMM of
             # both stacked rows against e1 replaces the passes over
-            # [block, s] that subtract the shift and divide by the sum. dE
+            # [block, s] that subtract the max and divide by the sum. dE
             # gets alpha.T @ dz + dscores.T @ q as one GEMM over both halves.
             d = e.shape[1]
-            if e1 is None:
-                e1 = _with_ones(e)
+            e1 = np.concatenate([e, np.ones((s, 1), dtype=dtype)], axis=1)
             dE = np.zeros_like(e)
             dQ = np.empty_like(q)
             nmax = 2 * min(BLOCK, K)
-            lhs = np.empty((nmax, d + 1), dtype=dtype)   # [q | -shift; dz | -dz.z]
+            lhs = np.empty((nmax, d + 1), dtype=dtype)   # [q | -max; dz | -dz.z]
             rhs = np.empty((nmax, d), dtype=dtype)       # [dz / sum; q]
             buf = np.empty((nmax, s), dtype=dtype)       # [alpha * sum; dscores]
             for lo in range(0, K, BLOCK):
                 hi = min(lo + BLOCK, K)
                 nb = hi - lo
                 lhs[:nb, :d] = q[lo:hi]
-                lhs[:nb, d] = -shift[lo:hi, 0]
+                lhs[:nb, d] = -row_max[lo:hi, 0]
                 dz = lhs[nb:2 * nb, :d]
                 np.multiply(g[lo:hi], w[lo:hi], out=dz)
                 lhs[nb:2 * nb, d] = -np.einsum("kd,kd->k", dz, z[lo:hi])

@@ -7,19 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import segcoder.label_attention as la
 from segcoder.label_attention import (
     BLOCK,
-    FAST_MIN,
-    SAFE,
     LabelHeadParams,
     attention_param_count,
     attention_weights,
     classifier_param_count,
     predict,
 )
-from segcoder.tensor import (Tensor, add, matmul, mul, no_grad, reshape, sigmoid,
-                             softmax, tensor_sum, transpose)
+from segcoder.tensor import (Tensor, add, matmul, mul, reshape, sigmoid, softmax,
+                             tensor_sum, transpose)
 
 from conftest import param_gradcheck
 
@@ -242,17 +239,6 @@ def _probs_and_grads(fn, arrays, dtype, probe):
     return [p.data, E.grad, Q.grad, W.grad, b.grad]
 
 
-def _record_paths(monkeypatch):
-    """The names of the forwards label_logits runs, in call order."""
-    ran = []
-    for name in ("_forward_exact", "_forward_bounded"):
-        def spy(*args, _fn=getattr(la, name), _name=name):
-            ran.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(la, name, spy)
-    return ran
-
-
 def _assert_parity(got, want, dtype, tol):
     for name, g, w in zip(["probs", "E", "Q", "W", "b"], got, want):
         assert g.dtype == dtype, name
@@ -311,67 +297,28 @@ class TestFusedParity:
         assert peak < full / 2, f"peak {peak} B vs one [K, s] array {full} B"
 
 
-class TestUnshiftedParity:
-    """Large heads with bounded scores skip the shift; the rest take the
-    exact row max. Both against the unfused oracle, at the tolerances of
-    TestFusedParity."""
+class TestLongRowsAndLargeScores:
+    """Many tokens per code, where the forward's GEMV row sums and the
+    backward's GEMMs accumulate over the whole row, and scores in the
+    hundreds, where only the row-max shift keeps exp finite. Both dtypes
+    are held to the float64 unfused oracle on eight seeds each. The bounds
+    are measured rather than TestFusedParity's: over seeds 0-39 at these
+    shapes the unfused float32 head itself misses the float64 oracle by up
+    to 1.3e-6 (s = 1,024) and 2.6e-3 (scores x 100, whose float32 rounding
+    is ~1e-5 in the exponent). Each bound is 3-5x this head's worst seed."""
 
-    K, s, d = 2 * BLOCK + 3, 64, 4    # ragged last block, K s >= FAST_MIN
+    K, d = 2 * BLOCK + 3, 4                  # ragged last block
 
-    def arrays(self, seed, bound=None, e_scale=1.0):
-        rng = np.random.default_rng(seed)
-        E = rng.normal(size=(self.s, self.d)) * e_scale
-        Q = rng.normal(size=(self.K, self.d))
-        if bound is not None:   # rescale Q so max|q_c| max|e_t| == bound
-            Q *= bound / (np.linalg.norm(Q, axis=1).max() * np.linalg.norm(E, axis=1).max())
-        return [E, Q, rng.normal(size=(self.K, self.d)), rng.normal(size=self.K)], \
-            rng.normal(size=self.K)
-
-    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
-    @pytest.mark.parametrize("bound,path", [
-        (0.25 * SAFE, "_forward_bounded"),
-        (0.99 * SAFE, "_forward_bounded"),   # just under SAFE
-        (1.01 * SAFE, "_forward_exact"),     # just over SAFE
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("s,e_scale,tol64,tol32", [
+        (1024, 1.0, 1e-12, 1e-5),     # worst of 40 seeds: 5.8e-15, 2.1e-6
+        (64, 100.0, 1e-11, 1e-2),     # worst of 40 seeds: 3.4e-12, 2.6e-3
     ])
-    def test_forward_and_gradients(self, monkeypatch, bound, path, dtype, tol):
-        assert self.K * self.s >= FAST_MIN and self.K % BLOCK
-        arrays, probe = self.arrays(7, bound)
-        ran = _record_paths(monkeypatch)
-        got = _probs_and_grads(predict, arrays, dtype, probe)
-        assert ran == [path]
-        _assert_parity(got, _probs_and_grads(unfused_predict, arrays, dtype, probe),
-                       dtype, tol)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_large_scores_take_exact_path(self, monkeypatch, dtype):
-        # E x 100 puts scores in the hundreds: exp(q . e) would overflow.
-        # In float32 the exact path, unchanged, and the oracle already differ
-        # by up to 1e-5 of the largest value here, so only float64 is held to
-        # the parity bound.
-        arrays, probe = self.arrays(7, e_scale=100.0)
-        ran = _record_paths(monkeypatch)
-        got = _probs_and_grads(predict, arrays, dtype, probe)
-        assert ran == ["_forward_exact"]
-        assert all(np.all(np.isfinite(g)) for g in got)
-        if dtype == np.float64:
-            _assert_parity(got, _probs_and_grads(unfused_predict, arrays, dtype, probe),
-                           dtype, 1e-12)
-
-    def test_small_heads_keep_exact_path(self, monkeypatch):
-        # under FAST_MIN scores, or fewer than FAST_MIN_CODES_PER_DIM * d codes
-        ran = _record_paths(monkeypatch)
-        for K, s, d in [(self.K, 9, 4), (8, 2 * FAST_MIN, 4),
-                        (la.FAST_MIN_CODES_PER_DIM * 4 - 1, FAST_MIN, 4)]:
-            rng = np.random.default_rng(K + s)
-            E = Tensor(rng.normal(size=(s, d)) * 0.01)
-            head = LabelHeadParams(K, d, rng, dtype=np.float64)
-            predict(E, head)
-        assert ran == ["_forward_exact"] * 3
-
-    def test_non_finite_bound_takes_exact_path(self, monkeypatch):
-        arrays, _ = self.arrays(3, 0.5 * SAFE)
-        arrays[0][0, 0] = np.inf
-        ran = _record_paths(monkeypatch)
-        with no_grad(), np.errstate(invalid="ignore"):
-            predict(Tensor(arrays[0]), head_from_arrays(*arrays[1:]))
-        assert ran == ["_forward_exact"]
+    def test_against_float64_oracle(self, seed, s, e_scale, tol64, tol32):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(s, self.d)) * e_scale, rng.normal(size=(self.K, self.d)),
+                  rng.normal(size=(self.K, self.d)), rng.normal(size=self.K)]
+        probe = rng.normal(size=self.K)
+        want = _probs_and_grads(unfused_predict, arrays, np.float64, probe)
+        for dtype, tol in [(np.float64, tol64), (np.float32, tol32)]:
+            _assert_parity(_probs_and_grads(predict, arrays, dtype, probe), want, dtype, tol)

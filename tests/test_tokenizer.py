@@ -3,8 +3,6 @@ and padding to a whole number of segments."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from segcoder.tokenizer import (PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab,
                                 _SPLIT_CACHE, _SPLIT_TABLE, _is_punctuation,
@@ -40,7 +38,7 @@ class TestVocab:
 
 
 def loop_split(text):
-    """Oracle: the per-character loop that basic_split replaced."""
+    """Oracle for basic_split: one character at a time."""
     words = []
     buf = []
     for ch in text.lower():
@@ -77,18 +75,30 @@ class TestBasicSplit:
         assert basic_split(text) == loop_split(text)
         assert len(_SPLIT_TABLE) <= _SPLIT_CACHE
 
-    @settings(max_examples=500, derandomize=True, database=None)
-    @given(st.text(st.characters(exclude_categories=())))
-    @example("")
-    @example(" \t\n\r\x0b\x0c")
-    @example("\u0130stanbul")        # İ lowercases to two code points
-    @example("Stra\u00dfe")          # ß
-    @example("a\u0085b")             # NEL is whitespace
-    @example("a\u3000b")             # ideographic space
-    @example("x\ud800y")             # a lone surrogate
-    @example("(a),[b]{c}!?\u00bf")  # ASCII punctuation and U+00BF (Po)
-    def test_matches_loop(self, text):
+    @pytest.mark.parametrize("text", [
+        "",
+        " \t\n\r\x0b\x0c",
+        "\u0130stanbul",         # İ lowercases to two code points
+        "Stra\u00dfe",           # ß
+        "a\u0085b",              # NEL is whitespace
+        "a\u3000b",              # ideographic space
+        "x\ud800y",              # a lone surrogate
+        "(a),[b]{c}!?\u00bf",   # ASCII punctuation and U+00BF (Po)
+    ])
+    def test_matches_loop_on_examples(self, text):
         assert basic_split(text) == loop_split(text)
+
+    def test_matches_loop_on_random_text(self):
+        # code points from ASCII, Latin-1, the rest of the BMP (surrogates
+        # included) and the astral planes, in strings of 0-40 characters
+        rng = np.random.default_rng(0)
+        lo = np.array([0, 0x80, 0x100, 0x10000])
+        hi = np.array([0x80, 0x100, 0x10000, 0x110000])
+        for _ in range(5000):
+            which = rng.integers(len(lo), size=rng.integers(0, 41))
+            cps = rng.integers(lo[which], hi[which])
+            text = "".join(map(chr, cps.tolist()))
+            assert basic_split(text) == loop_split(text), repr(text)
 
 
 class TestTokenize:
