@@ -29,34 +29,39 @@ class UsageError(Exception):
     pass
 
 
-GEN_DEFAULTS = {
-    "out_dir": None, "num_codes": 20, "vocab_size": 500,
-    "doc_len_min": 256, "doc_len_max": 256, "evidence_per_code": 1,
-    "place_min": 0, "place_max": 254, "codes_min": 1, "codes_max": 3,
-    "train_notes": 2000, "val_notes": 200, "test_notes": 200, "seed": 0,
+# One {option: default} table per subcommand. Each key is a config-file key
+# and, with "_" spelled "-", a --flag; the default's type (int, float,
+# otherwise str) parses both.
+OPTIONS = {
+    "gen-corpus": {
+        "out_dir": None, "num_codes": 20, "vocab_size": 500,
+        "doc_len_min": 256, "doc_len_max": 256, "evidence_per_code": 1,
+        "place_min": 0, "place_max": 254, "codes_min": 1, "codes_max": 3,
+        "train_notes": 2000, "val_notes": 200, "test_notes": 200, "seed": 0,
+    },
+    "train": {
+        "corpus": None, "val": None, "codes": None, "vocab": None, "out_dir": None,
+        "encoder": "transformer", "seg_len": 512, "seg_stride": 0,
+        "max_seq_len": 512, "hidden": 256, "blocks": 2, "heads": 4,
+        "intermediate": 1024, "max_positions": 0,
+        "cnn_embed": 100, "cnn_filters": 256, "cnn_kernel": 9, "cnn_max_words": 2500,
+        "lr": 2e-4, "batch_size": 4, "max_steps": 1000, "eval_every": 100, "seed": 0,
+    },
+    "eval": {
+        "checkpoint": None, "test": None, "val": None, "codes": None,
+        "threshold": -1.0,
+    },
+    "predict": {
+        "checkpoint": None, "text": None, "file": None, "top_n": 10,
+    },
+    "stats": {
+        "corpus": None, "vocab": None, "out": None,
+    },
 }
 
-TRAIN_DEFAULTS = {
-    "corpus": None, "val": None, "codes": None, "vocab": None, "out_dir": None,
-    "encoder": "transformer", "seg_len": 512, "seg_stride": 0,
-    "max_seq_len": 512, "hidden": 256, "blocks": 2, "heads": 4,
-    "intermediate": 1024, "max_positions": 0,
-    "cnn_embed": 100, "cnn_filters": 256, "cnn_kernel": 9, "cnn_max_words": 2500,
-    "lr": 2e-4, "batch_size": 4, "max_steps": 1000, "eval_every": 100, "seed": 0,
-}
 
-EVAL_DEFAULTS = {
-    "checkpoint": None, "test": None, "val": None, "codes": None,
-    "threshold": -1.0,
-}
-
-PREDICT_DEFAULTS = {
-    "checkpoint": None, "text": None, "file": None, "top_n": 10,
-}
-
-STATS_DEFAULTS = {
-    "corpus": None, "vocab": None, "out": None,
-}
+def option_type(default):
+    return str if default is None else type(default)
 
 
 def parse_config_file(path):
@@ -73,19 +78,6 @@ def parse_config_file(path):
     return opts
 
 
-def _coerce(raw, default, key):
-    if default is None or isinstance(default, str):
-        return raw
-    try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-    except ValueError:
-        raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
-    return raw
-
-
 def resolve_options(args, defaults):
     """Layer defaults < config file < explicit flags."""
     resolved = dict(defaults)
@@ -95,7 +87,10 @@ def resolve_options(args, defaults):
         for k, raw in parse_config_file(args.config).items():
             if k not in resolved:
                 raise UsageError(f"unknown config key {k!r}")
-            resolved[k] = _coerce(raw, defaults[k], k)
+            try:
+                resolved[k] = option_type(defaults[k])(raw)
+            except ValueError:
+                raise UsageError(f"config key {k!r}: cannot parse {raw!r}") from None
     for k in resolved:
         v = getattr(args, k, None)
         if v is not None:
@@ -135,8 +130,7 @@ def _require_dir(resolved, key, flag):
     return path
 
 
-def cmd_gen_corpus(args):
-    opt = resolve_options(args, GEN_DEFAULTS)
+def cmd_gen_corpus(opt):
     out_dir = _require(opt, "out_dir", "--out-dir")
     emit_resolved(opt, "gen-corpus", out_dir)
     spec = SyntheticSpec(
@@ -184,8 +178,7 @@ def _build_model(opt, train_notes, label_set):
                      stride=opt["seg_stride"], seed=opt["seed"])
 
 
-def cmd_train(args):
-    opt = resolve_options(args, TRAIN_DEFAULTS)
+def cmd_train(opt):
     corpus_path = _require_file(opt, "corpus", "--corpus")
     val_path = _require_file(opt, "val", "--val")
     out_dir = _require(opt, "out_dir", "--out-dir")
@@ -193,7 +186,6 @@ def cmd_train(args):
         _require_file(opt, "codes", "--codes")
     if opt["vocab"]:
         _require_file(opt, "vocab", "--vocab")
-    emit_resolved(opt, "train", out_dir)
 
     label_set = LabelSet.from_file(opt["codes"]) if opt["codes"] else None
     train_notes, label_set = load_corpus(corpus_path, label_set)
@@ -213,6 +205,7 @@ def cmd_train(args):
         tc.validate()
     except ValueError as e:
         raise UsageError(str(e)) from None
+    emit_resolved(opt, "train", out_dir)
     result = train_loop(model, train_notes, val_notes, tc, out_dir)
     print(f"best_step={result.best_step}")
     print(f"best_val_micro_f1={result.best_val_f1:.6f}")
@@ -233,8 +226,7 @@ def _load_examples(model, path, what):
     return prepare_examples(model, notes)
 
 
-def cmd_eval(args):
-    opt = resolve_options(args, EVAL_DEFAULTS)
+def cmd_eval(opt):
     ckpt = _require_dir(opt, "checkpoint", "--checkpoint")
     test_path = _require_file(opt, "test", "--test")
     emit_resolved(opt, "eval")
@@ -262,8 +254,7 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_predict(args):
-    opt = resolve_options(args, PREDICT_DEFAULTS)
+def cmd_predict(opt):
     ckpt = _require_dir(opt, "checkpoint", "--checkpoint")
     emit_resolved(opt, "predict")
     if opt["file"]:
@@ -282,8 +273,7 @@ def cmd_predict(args):
     return 0
 
 
-def cmd_stats(args):
-    opt = resolve_options(args, STATS_DEFAULTS)
+def cmd_stats(opt):
     corpus_path = _require_file(opt, "corpus", "--corpus")
     emit_resolved(opt, "stats")
     notes = load_notes(corpus_path)
@@ -309,51 +299,17 @@ def build_parser():
         description="Segmented long-document encoder with per-class label "
                     "attention for multi-label code assignment.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, func, help_text in (
+            ("gen-corpus", cmd_gen_corpus, "write a synthetic planted-evidence corpus"),
+            ("train", cmd_train, "train a model and keep the best checkpoint"),
+            ("eval", cmd_eval, "evaluate a checkpoint on a test corpus"),
+            ("predict", cmd_predict, "rank codes for one note"),
+            ("stats", cmd_stats, "token-length CDF of a corpus")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override")
+        for key, default in OPTIONS[name].items():
+            p.add_argument("--" + key.replace("_", "-"), type=option_type(default))
         p.set_defaults(func=func)
-        return p
-
-    g = add("gen-corpus", cmd_gen_corpus, "write a synthetic planted-evidence corpus")
-    g.add_argument("--out-dir")
-    for flag in ("num-codes", "vocab-size", "doc-len-min", "doc-len-max",
-                 "evidence-per-code", "place-min", "place-max", "codes-min",
-                 "codes-max", "train-notes", "val-notes", "test-notes", "seed"):
-        g.add_argument(f"--{flag}", type=int)
-
-    t = add("train", cmd_train, "train a model and keep the best checkpoint")
-    t.add_argument("--corpus")
-    t.add_argument("--val")
-    t.add_argument("--codes")
-    t.add_argument("--vocab")
-    t.add_argument("--out-dir")
-    t.add_argument("--encoder", choices=("transformer", "cnn"))
-    for flag in ("seg-len", "seg-stride", "max-seq-len", "hidden", "blocks",
-                 "heads", "intermediate", "max-positions", "cnn-embed",
-                 "cnn-filters", "cnn-kernel", "cnn-max-words", "batch-size",
-                 "max-steps", "eval-every", "seed"):
-        t.add_argument(f"--{flag}", type=int)
-    t.add_argument("--lr", type=float)
-
-    e = add("eval", cmd_eval, "evaluate a checkpoint on a test corpus")
-    e.add_argument("--checkpoint")
-    e.add_argument("--test")
-    e.add_argument("--val")
-    e.add_argument("--codes")
-    e.add_argument("--threshold", type=float)
-
-    p = add("predict", cmd_predict, "rank codes for one note")
-    p.add_argument("--checkpoint")
-    p.add_argument("--text")
-    p.add_argument("--file")
-    p.add_argument("--top-n", type=int)
-
-    s = add("stats", cmd_stats, "token-length CDF of a corpus")
-    s.add_argument("--corpus")
-    s.add_argument("--vocab")
-    s.add_argument("--out")
     return parser
 
 
@@ -361,7 +317,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(resolve_options(args, OPTIONS[args.command]))
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -50,7 +50,11 @@ class LabelSet:
 
     def indices_for(self, codes):
         """Sorted unique label indices for one note's code list."""
-        return np.asarray(sorted({self.code_to_index[c] for c in codes}), dtype=np.int64)
+        try:
+            return np.asarray(sorted({self.code_to_index[c] for c in codes}), dtype=np.int64)
+        except KeyError as e:
+            raise ValueError(f"code {e.args[0]!r} is not in the label set "
+                             f"(K={len(self)})") from None
 
     @classmethod
     def from_file(cls, path):

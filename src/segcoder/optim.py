@@ -1,7 +1,8 @@
 """Adam optimizer with bias correction.
 
-Defaults: beta1=0.9, beta2=0.999, eps=1e-8. The learning rate default of
-2e-4 lives in the training config, not here.
+The moment decay rates and the denominator guard are the module constants
+BETA1 = 0.9, BETA2 = 0.999 and EPS = 1e-8. The learning rate, the one
+setting, comes from the training config (default 2e-4).
 """
 
 from dataclasses import dataclass, field
@@ -10,23 +11,24 @@ import numpy as np
 
 from . import kernels
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def init_adam(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def init_adam(params, lr):
     """Fresh moment buffers matching each parameter's shape."""
     m = [np.zeros_like(p.data) for p in params]
     v = [np.zeros_like(p.data) for p in params]
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0, m=m, v=v)
+    return AdamState(lr=lr, m=m, v=v)
 
 
 def adam_step(params, grads, state):
@@ -44,7 +46,7 @@ def adam_step(params, grads, state):
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        update(p.data, g, m, v, state.t, state.lr, state.beta1, state.beta2, state.eps)
+        update(p.data, g, m, v, state.t, state.lr, BETA1, BETA2, EPS)
     return params, state
 
 

@@ -6,20 +6,15 @@ the op that produced it. Calling ``backward()`` on a scalar result walks the
 graph in reverse topological order and accumulates gradients into every
 reachable tensor with ``requires_grad=True``.
 
-Tensors are immutable once they enter a forward graph. Set
-``SEGCODER_CHECK_FINITE=1`` to assert that every op output is finite.
+Tensors are immutable once they enter a forward graph.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 from . import kernels
 
-_CHECK_FINITE = os.environ.get("SEGCODER_CHECK_FINITE", "0") == "1"
 _grad_enabled = True
 
 MASK_FILL_VALUE = -1e9  # additive -inf surrogate; underflows to 0 after softmax
@@ -158,8 +153,6 @@ def _released():
 
 
 def _make(data, parents):
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values in op output")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True

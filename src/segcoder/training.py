@@ -82,11 +82,20 @@ def batch_loss(model, batch):
 
 
 def train_step(model, batch, state):
-    """One Adam update on the batch loss; returns the loss value."""
+    """One Adam update on the batch loss; returns the loss value.
+
+    A non-finite loss or gradient raises RuntimeError, naming the loss or
+    the parameter, before any weight changes.
+    """
     for p in model.parameters():
         p.zero_grad()
     loss = batch_loss(model, batch)
     loss.backward()
+    if not np.isfinite(loss.data):
+        raise RuntimeError(f"non-finite loss {float(loss.data)}")
+    for name, p in model.named_parameters():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise RuntimeError(f"non-finite gradient for parameter {name}")
     step_with_grads(model.parameters(), state)
     return float(loss.data)
 
@@ -96,8 +105,11 @@ def prepare_examples(model, notes):
     out = []
     for n in notes:
         seq = truncate(model.token_sequence(n.text), model._truncation())
-        labels = SparseLabels(model.label_set.indices_for(n.codes), model.num_classes)
-        out.append((seq, labels))
+        try:
+            indices = model.label_set.indices_for(n.codes)
+        except ValueError as e:
+            raise ValueError(f"note {n.note_id!r}: {e}") from None
+        out.append((seq, SparseLabels(indices, model.num_classes)))
     return out
 
 
@@ -141,6 +153,9 @@ def train_loop(model, train_notes, val_notes, config, out_dir):
     The metrics log gets one row per evaluation:
     step, mean train loss since last eval, validation micro F1 (at the
     grid-searched threshold), validation PR-AUC, validation ROC-AUC.
+
+    A non-finite loss or gradient stops the loop with a RuntimeError naming
+    the step and the parameter; no checkpoint is written for that step.
     """
     config.validate()
     if not train_notes:
@@ -189,7 +204,10 @@ def train_loop(model, train_notes, val_notes, config, out_dir):
                 order.extend(rng.permutation(len(train_ex)).tolist())
             batch = [train_ex[i] for i in order[: config.batch_size]]
             del order[: config.batch_size]
-            losses.append(train_step(model, batch, state))
+            try:
+                losses.append(train_step(model, batch, state))
+            except RuntimeError as e:
+                raise RuntimeError(f"step {step}: {e}") from None
             if step % config.eval_every == 0 or step == config.max_steps:
                 run_eval(step)
 

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from segcoder.cli import RESOLVED_NAME, main, parse_config_file
+from segcoder.cli import (OPTIONS, RESOLVED_NAME, build_parser, emit_resolved,
+                          main, option_type, parse_config_file, resolve_options)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,36 @@ class TestTrain:
             "--out-dir", str(tmp_path), "--max-steps", "2", "--eval-every", "5",
         ])
         assert rc == 2
+
+    def test_code_outside_codes_file_names_note(self, corpus_dir, tmp_path, capsys):
+        train = (corpus_dir / "train.jsonl").read_text()
+        assert '"C0003"' in train
+        codes3 = tmp_path / "codes3.txt"
+        codes3.write_text("C0000\nC0001\nC0002\n")
+        rc = main([
+            "train", "--corpus", str(corpus_dir / "train.jsonl"),
+            "--val", str(corpus_dir / "val.jsonl"), "--codes", str(codes3),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+            "--out-dir", str(tmp_path / "run"), *TINY_TRAIN_FLAGS,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: note " in err and "'C0003'" in err and "K=3" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_encoder_writes_nothing(self, corpus_dir, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("encoder = rnn\n")
+        chosen = ["--encoder", "rnn"] if source == "flag" else ["--config", str(cfg)]
+        rc = main([
+            "train", "--corpus", str(corpus_dir / "train.jsonl"),
+            "--val", str(corpus_dir / "val.jsonl"),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+            "--out-dir", str(tmp_path / "run"), *chosen, *TINY_TRAIN_FLAGS,
+        ])
+        assert rc == 2
+        assert "--encoder" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:
@@ -301,6 +332,34 @@ class TestConfigFile:
         cfg = tmp_path / "a.cfg"
         cfg.write_text("seg-len=128\nlr = 0.01\n")
         assert parse_config_file(cfg) == {"seg_len": "128", "lr": "0.01"}
+
+
+class TestOptionTable:
+    SAMPLE = {int: "7", float: "0.5", str: "x"}
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_every_option_is_a_flag_a_config_key_and_a_dump_line(
+            self, command, tmp_path, capsys):
+        parser = build_parser()
+        for key, default in OPTIONS[command].items():
+            kind = option_type(default)
+            raw = self.SAMPLE[kind]
+            args = parser.parse_args([command, "--" + key.replace("_", "-"), raw])
+            assert getattr(args, key) == kind(raw), key
+            assert type(getattr(args, key)) is kind, key
+
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key}={raw}\n")
+            resolved = resolve_options(parser.parse_args([command, "--config", str(cfg)]),
+                                       OPTIONS[command])
+            assert resolved[key] == kind(raw), key
+            assert type(resolved[key]) is kind, key
+
+        emit_resolved(resolve_options(parser.parse_args([command]), OPTIONS[command]),
+                      command)
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == f"command={command}"
+        assert sorted(line.split("=", 1)[0] for line in lines[1:]) == sorted(OPTIONS[command])
 
 
 class TestParser:

@@ -44,6 +44,11 @@ class TestLabelSet:
         idx = ls.indices_for(["c", "a", "c"])
         assert idx.tolist() == [0, 2]
 
+    def test_indices_for_unknown_code_names_it(self):
+        ls = LabelSet(["a", "b"])
+        with pytest.raises(ValueError, match=r"'z'.*K=2"):
+            ls.indices_for(["a", "z"])
+
     def test_membership(self):
         ls = LabelSet(["a"])
         assert "a" in ls and "b" not in ls

@@ -9,7 +9,7 @@ import segcoder.training as tr
 from segcoder.corpus import LabelSet, Note
 from segcoder.metrics import EvalReport
 from segcoder.model import CodingModel, new_model
-from segcoder.tensor import Tensor, sigmoid, tensor_sum
+from segcoder.tensor import Tensor, mul, sigmoid, tensor_sum
 from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, Vocab
 from segcoder.training import (
     SparseLabels,
@@ -162,6 +162,12 @@ class TestBatchSemantics:
         (seq_long, _), = prepare_examples(model, [Note("l", long_text, ["C0"])])
         assert seq_long.s == model.s_max
 
+    def test_unknown_code_names_the_note(self):
+        model = tiny_model(num_codes=2)
+        with pytest.raises(ValueError, match=r"note 'odd'.*'C7'.*K=2"):
+            prepare_examples(model, [Note("ok", "t0", ["C0"]),
+                                     Note("odd", "t1", ["C1", "C7"])])
+
 
 class TestTrainStep:
     def test_loss_decreases_on_repeated_example(self):
@@ -262,6 +268,42 @@ class TestTrainLoop:
         assert np.array_equal(best.head.W.data, snapshots[1])
         latest = CodingModel.load(result.latest_dir)
         assert np.array_equal(latest.head.W.data, snapshots[2])
+
+    def test_nan_gradient_stops_with_step_and_name(self, tmp_path, monkeypatch):
+        # poison one gradient at step 3; no eval runs before step 4, so no
+        # checkpoint may exist and the weights must be those after step 2
+        model = tiny_model()
+        backward = Tensor.backward
+        calls = []
+        before = []
+
+        def poisoned(self, seed=None):
+            backward(self, seed)
+            calls.append(1)
+            if len(calls) == 3:
+                before.extend(p.data.copy() for p in model.parameters())
+                model.head.W.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(RuntimeError, match=r"step 3: .*head\.W"):
+            train_loop(model, tiny_notes(4), tiny_notes(2),
+                       self.config(max_steps=4, eval_every=4), tmp_path)
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
+        assert not (tmp_path / "best").exists()
+        assert not (tmp_path / "latest").exists()
+
+    def test_nan_loss_stops_with_step(self, tmp_path, monkeypatch):
+        model = tiny_model()
+        initial = [p.data.copy() for p in model.parameters()]
+        loss = tr.batch_loss
+        monkeypatch.setattr(tr, "batch_loss",
+                            lambda m, batch: mul(loss(m, batch), float("nan")))
+        with pytest.raises(RuntimeError, match="step 1: non-finite loss"):
+            train_loop(model, tiny_notes(4), tiny_notes(2), self.config(), tmp_path)
+        for p, b in zip(model.parameters(), initial):
+            assert np.array_equal(p.data, b)
+        assert not (tmp_path / "best").exists()
 
     def test_seed_determinism_byte_identical_logs(self, tmp_path):
         logs = []
