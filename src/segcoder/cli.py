@@ -132,7 +132,6 @@ def _require_dir(resolved, key, flag):
 
 def cmd_gen_corpus(opt):
     out_dir = _require(opt, "out_dir", "--out-dir")
-    emit_resolved(opt, "gen-corpus", out_dir)
     spec = SyntheticSpec(
         num_codes=opt["num_codes"], vocab_size=opt["vocab_size"],
         doc_len=(opt["doc_len_min"], opt["doc_len_max"]),
@@ -146,6 +145,7 @@ def cmd_gen_corpus(opt):
         spec.validate()
     except ValueError as e:
         raise UsageError(str(e)) from None
+    emit_resolved(opt, "gen-corpus", out_dir)
     paths = generate_synthetic(spec, out_dir)
     for name in ("train", "val", "test", "codes", "vocab"):
         print(f"{name}={paths[name]}")
@@ -279,7 +279,7 @@ def cmd_stats(opt):
     notes = load_notes(corpus_path)
     if opt["vocab"]:
         vocab = Vocab.from_file(_require_file(opt, "vocab", "--vocab"))
-        counter = lambda text: tokenize(text, vocab)
+        counter = lambda text: tokenize(text, vocab).s
     else:
         counter = lambda text: len(text.split())
     cdf = token_length_cdf(notes, counter)

@@ -133,19 +133,14 @@ def restrict_to_labels(notes, label_set):
     return out, dropped
 
 
-def token_length_cdf(notes, tokenize_fn):
-    """Cumulative distribution of per-note token counts.
-
-    ``tokenize_fn(text)`` may return a token sequence (its ``s`` field is
-    used) or a plain count. Returns (length, cumulative fraction) pairs at
-    each distinct length, nondecreasing and ending at 1.0.
+def token_length_cdf(notes, count_fn):
+    """Cumulative distribution of per-note token counts, ``count_fn(text)``
+    each. Returns (length, cumulative fraction) pairs at each distinct
+    length, nondecreasing and ending at 1.0.
     """
     if not notes:
         raise ValueError("token_length_cdf needs a non-empty corpus")
-    def _count(text):
-        r = tokenize_fn(text)
-        return r.s if hasattr(r, "s") else int(r)
-    lengths = sorted(_count(n.text) for n in notes)
+    lengths = sorted(count_fn(n.text) for n in notes)
     total = len(lengths)
     cdf = []
     seen = 0

@@ -13,6 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def label_matrix(sparse_labels, num_classes):
+    """Boolean [notes, K] label matrix from one index array per note, such
+    as the sorted arrays ``LabelSet.indices_for`` returns."""
+    y = np.zeros((len(sparse_labels), num_classes), dtype=bool)
+    for row, idx in enumerate(sparse_labels):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= num_classes):
+            raise ValueError(f"label index out of range for K={num_classes} in note {row}")
+        y[row, idx] = True
+    return y
+
+
 class PredictionSet:
     """Per-note probability vectors plus sparse ground-truth label indices.
 
@@ -28,12 +40,7 @@ class PredictionSet:
         if len(sparse_labels) != probs.shape[0]:
             raise ValueError("one label list per note is required")
         self.num_notes, self.num_classes = probs.shape
-        self.labels = np.zeros(probs.shape, dtype=bool)
-        for row, idx in enumerate(sparse_labels):
-            idx = np.asarray(idx, dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= self.num_classes):
-                raise ValueError(f"label index out of range in note {row}")
-            self.labels[row, idx] = True
+        self.labels = label_matrix(sparse_labels, self.num_classes)
         self.labels.flags.writeable = False
         self.probs = probs
 

@@ -17,7 +17,7 @@ from .cnn import CnnConfig, CnnParams, encode_cnn, word_ids
 from .corpus import LabelSet
 from .label_attention import LabelHeadParams, predict
 from .segments import encode_long, plan_segments
-from .tensor import no_grad
+from .tensor import concat_rows, no_grad, reshape
 from .tokenizer import Vocab, pad_to_multiple, tokenize, truncate
 from .transformer import EncoderConfig, EncoderParams, encode_segment
 
@@ -52,39 +52,44 @@ class CodingModel:
         return [t for _, t in self.named_parameters()]
 
     def token_sequence(self, text):
-        """Tokenize under the encoder's own scheme (subword vs word)."""
+        """Tokenize under the encoder's own scheme (subword vs word) and
+        truncate to the model's input length: the one place notes are cut."""
         if self.kind == "transformer":
-            return tokenize(text, self.vocab)
-        return word_ids(text, self.vocab)
+            return truncate(tokenize(text, self.vocab), self.s_max)
+        return truncate(word_ids(text, self.vocab),
+                        min(self.s_max, self.enc_config.max_words))
 
-    def _truncation(self):
-        if self.kind == "cnn":
-            return min(self.s_max, self.enc_config.max_words)
-        return self.s_max
+    def probs(self, seqs):
+        """Per-class probabilities, Tensor[B, K], one row per token sequence.
 
-    def probs_for_ids(self, seq):
-        """Per-class probabilities, Tensor[K], for a tokenized note."""
-        seq = truncate(seq, self._truncation())
-        if seq.s == 0:
-            raise ValueError("cannot encode an empty token sequence")
-        if self.kind == "transformer":
-            cfg = self.enc_config
-            padded = pad_to_multiple(seq, cfg.seg_len, self.vocab.pad_id)
-            plan = plan_segments(len(padded.ids), cfg.seg_len, self.stride)
-            def enc(ids, pad_mask):
-                return encode_segment(self.enc_params, cfg, ids, pad_mask)
-            hidden = encode_long(enc, padded, plan)
-        else:
-            hidden = encode_cnn(self.enc_params, self.enc_config, seq.ids[: seq.s])
-        return predict(hidden, self.head)
+        Each note is encoded and scored on its own (one ``encode_long`` or
+        ``encode_cnn`` call and one ``predict`` call per note); the rows are
+        joined into one matrix.
+        """
+        if not seqs:
+            raise ValueError("no token sequences to score")
+        cfg = self.enc_config
 
-    def probs_for_text(self, text):
-        return self.probs_for_ids(self.token_sequence(text))
+        def enc(ids, pad_mask):
+            return encode_segment(self.enc_params, cfg, ids, pad_mask)
+
+        rows = []
+        for seq in seqs:
+            if seq.s == 0:
+                raise ValueError("cannot encode an empty token sequence")
+            if self.kind == "transformer":
+                padded = pad_to_multiple(seq, cfg.seg_len, self.vocab.pad_id)
+                plan = plan_segments(len(padded.ids), cfg.seg_len, self.stride)
+                hidden = encode_long(enc, padded, plan)
+            else:
+                hidden = encode_cnn(self.enc_params, cfg, seq.ids[: seq.s])
+            rows.append(predict(hidden, self.head))
+        return reshape(concat_rows(rows), (len(rows), self.num_classes))
 
     def rank_codes(self, text, top_n=None):
         """(code, probability) pairs sorted by descending probability."""
         with no_grad():
-            probs = self.probs_for_text(text).data.astype(np.float64)
+            probs = self.probs([self.token_sequence(text)]).data[0].astype(np.float64)
         order = np.argsort(-probs, kind="stable")
         if top_n is not None:
             order = order[:top_n]

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import PredictionSet, best_threshold, evaluate
+from .metrics import PredictionSet, best_threshold, evaluate, label_matrix
 from .optim import init_adam, step_with_grads
-from .tensor import Tensor, add, clamp, log, mul, neg, no_grad, sub, tensor_sum
-from .tokenizer import truncate
+from .tensor import Tensor, add, clamp, log, mul, no_grad, sub, tensor_sum
 
 CLAMP_LO = 1e-7
 CLAMP_HI = 1.0 - 1e-7
@@ -41,44 +40,29 @@ class TrainConfig:
             raise ValueError(f"max_seq_len must be >= 1, got {self.max_seq_len}")
 
 
-class SparseLabels:
-    """Positive class indices for one note, kept sorted and unique."""
+def bce_loss(probs, y):
+    """Binary cross-entropy summed over classes and averaged over notes.
 
-    def __init__(self, indices, num_classes):
-        idx = np.asarray(sorted({int(i) for i in indices}), dtype=np.int64)
-        if idx.size and (idx[0] < 0 or idx[-1] >= num_classes):
-            raise ValueError(f"label index out of range for K={num_classes}")
-        self.indices = idx
-        self.num_classes = int(num_classes)
-
-    def dense(self, dtype=np.float32):
-        y = np.zeros(self.num_classes, dtype=dtype)
-        y[self.indices] = 1
-        return y
-
-
-def example_loss(probs, labels):
-    """Sum over classes of binary cross-entropy, probabilities clamped to
-    [1e-7, 1 - 1e-7]."""
-    if probs.data.ndim != 1 or probs.data.shape[0] != labels.num_classes:
-        raise ValueError(
-            f"probs shape {probs.data.shape} does not match K={labels.num_classes}")
+    ``probs`` is Tensor[B, K] and ``y`` the 0/1 label matrix [B, K];
+    probabilities are clamped to [1e-7, 1 - 1e-7], so the gradient is zero
+    outside that range.
+    """
+    if probs.data.ndim != 2 or probs.data.shape != np.shape(y):
+        raise ValueError(f"probs shape {probs.data.shape} does not match "
+                         f"labels shape {np.shape(y)}")
     p = clamp(probs, CLAMP_LO, CLAMP_HI)
-    y = Tensor(labels.dense(dtype=p.data.dtype))
+    y = Tensor(np.asarray(y, dtype=p.data.dtype))
     one = Tensor(np.ones_like(p.data))
     ll = add(mul(y, log(p)), mul(sub(one, y), log(sub(one, p))))
-    return neg(tensor_sum(ll))
+    return mul(tensor_sum(ll), -1.0 / len(p.data))
 
 
 def batch_loss(model, batch):
-    """Mean of per-example losses; examples are encoded independently."""
+    """bce_loss of the batch's (seq, label indices) pairs."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    total = None
-    for seq, labels in batch:
-        loss = example_loss(model.probs_for_ids(seq), labels)
-        total = loss if total is None else add(total, loss)
-    return mul(total, 1.0 / len(batch))
+    seqs, indices = zip(*batch)
+    return bce_loss(model.probs(seqs), label_matrix(indices, model.num_classes))
 
 
 def train_step(model, batch, state):
@@ -101,32 +85,32 @@ def train_step(model, batch, state):
 
 
 def prepare_examples(model, notes):
-    """Tokenize and truncate once up front; returns (seq, labels) pairs."""
+    """Tokenize once up front; returns (seq, label indices) pairs. A note
+    with an unknown code or no tokens raises ValueError naming it."""
     out = []
     for n in notes:
-        seq = truncate(model.token_sequence(n.text), model._truncation())
+        seq = model.token_sequence(n.text)
+        if seq.s == 0:
+            raise ValueError(f"note {n.note_id!r}: text has no tokens")
         try:
             indices = model.label_set.indices_for(n.codes)
         except ValueError as e:
             raise ValueError(f"note {n.note_id!r}: {e}") from None
-        out.append((seq, SparseLabels(indices, model.num_classes)))
+        out.append((seq, indices))
     return out
 
 
 def predict_probs(model, seqs):
     """Probability matrix [notes, K] under no_grad."""
-    out = np.zeros((len(seqs), model.num_classes), dtype=np.float64)
     with no_grad():
-        for i, seq in enumerate(seqs):
-            out[i] = model.probs_for_ids(seq).data.astype(np.float64)
-    return out
+        return model.probs(seqs).data.astype(np.float64)
 
 
 def evaluate_model(model, examples, threshold=None, grid=None):
     """EvalReport for prepared examples; grid-searches the threshold when
     none is given."""
     preds = PredictionSet(predict_probs(model, [s for s, _ in examples]),
-                          [l.indices for _, l in examples])
+                          [i for _, i in examples])
     if threshold is None:
         threshold, _ = best_threshold(preds, grid)
     return evaluate(preds, threshold)

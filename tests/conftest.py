@@ -1,14 +1,25 @@
-"""Shared test helpers: the central finite-difference gradient oracle.
+"""Shared test helpers: the central finite-difference gradient oracle, and
+the per-note scoring and loss oracles.
 
 Analytic gradients come from the reverse-mode pass; the oracle perturbs
 each input scalar by +-h on a float64 path and compares. Keeping the oracle
 here makes every gradient test in the suite use the same comparison rule.
+
+``per_note_probs`` and ``per_note_batch_loss`` are reference versions of
+``CodingModel.probs`` and ``training.batch_loss`` that work one note at a
+time: one Tensor[K] and one summed binary cross-entropy chain per note,
+added up, where the package builds one [B, K] matrix and one loss over it.
 """
 
 import numpy as np
 import pytest
 
-from segcoder.tensor import Tensor, no_grad
+from segcoder.cnn import encode_cnn
+from segcoder.label_attention import predict
+from segcoder.segments import encode_long, plan_segments
+from segcoder.tensor import Tensor, add, clamp, log, mul, neg, no_grad, sub, tensor_sum
+from segcoder.tokenizer import pad_to_multiple, truncate
+from segcoder.transformer import encode_segment
 
 FD_H = 1e-4
 
@@ -72,6 +83,68 @@ def gradcheck(fn, arrays, rtol=1e-4, atol=1e-7, h=FD_H):
                for a in arrays]
     param_gradcheck(tensors, lambda: fn(*tensors), rtol=rtol, atol=atol, h=h)
     return tensors
+
+
+def per_note_probs(model, seq):
+    """Per-class probabilities, Tensor[K], of one token sequence."""
+    limit = model.s_max
+    if model.kind == "cnn":
+        limit = min(limit, model.enc_config.max_words)
+    seq = truncate(seq, limit)
+    if seq.s == 0:
+        raise ValueError("cannot encode an empty token sequence")
+    if model.kind == "transformer":
+        cfg = model.enc_config
+        padded = pad_to_multiple(seq, cfg.seg_len, model.vocab.pad_id)
+        plan = plan_segments(len(padded.ids), cfg.seg_len, model.stride)
+        def enc(ids, pad_mask):
+            return encode_segment(model.enc_params, cfg, ids, pad_mask)
+        hidden = encode_long(enc, padded, plan)
+    else:
+        hidden = encode_cnn(model.enc_params, model.enc_config, seq.ids[: seq.s])
+    return predict(hidden, model.head)
+
+
+def per_note_bce(probs, indices):
+    """Summed binary cross-entropy of one note's Tensor[K], probabilities
+    clamped to [1e-7, 1 - 1e-7]."""
+    p = clamp(probs, 1e-7, 1.0 - 1e-7)
+    dense = np.zeros(p.data.shape, dtype=p.data.dtype)
+    dense[np.asarray(indices, dtype=np.int64)] = 1
+    y = Tensor(dense)
+    one = Tensor(np.ones_like(p.data))
+    ll = add(mul(y, log(p)), mul(sub(one, y), log(sub(one, p))))
+    return neg(tensor_sum(ll))
+
+
+def per_note_batch_loss(model, batch):
+    """Mean of per_note_bce over (seq, label indices) pairs."""
+    total = None
+    for seq, indices in batch:
+        loss = per_note_bce(per_note_probs(model, seq), indices)
+        total = loss if total is None else add(total, loss)
+    return mul(total, 1.0 / len(batch))
+
+
+def loss_and_grads(model, loss_fn):
+    """Value of the scalar ``loss_fn()`` and every parameter's gradient."""
+    for p in model.parameters():
+        p.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.data.copy(), [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                              for p in model.parameters()]
+
+
+def assert_parity(got, want, dtype):
+    """float64: within 1e-12; float32: within 1e-6 x max(1, max |want|)."""
+    want = np.asarray(want, dtype=np.float64)
+    if np.dtype(dtype) == np.float64:
+        tol = 1e-12
+    else:
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    err = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want), initial=0.0))
+    assert err <= tol, f"max abs error {err:.3e} > {tol:.3e}"
 
 
 @pytest.fixture

@@ -21,13 +21,12 @@ from segcoder.label_attention import (LabelHeadParams, attention_param_count,
                                       attention_weights, classifier_param_count,
                                       predict)
 from segcoder.metrics import (PredictionSet, best_threshold, confusion_at,
-                              default_grid, micro_f1, pr_auc, roc_auc)
+                              default_grid, label_matrix, micro_f1, pr_auc, roc_auc)
 from segcoder.model import CodingModel, new_model
 from segcoder.segments import encode_long, plan_segments
 from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab, pad_to_multiple
-from segcoder.training import (SparseLabels, TrainConfig, evaluate_model,
-                               example_loss, prepare_examples, train_loop,
-                               train_step)
+from segcoder.training import (TrainConfig, bce_loss, evaluate_model,
+                               prepare_examples, train_loop, train_step)
 from segcoder.transformer import EncoderConfig, EncoderParams, count_parameters, encode_segment
 
 from conftest import param_gradcheck
@@ -145,11 +144,12 @@ def test_criterion_2_gradient_correctness():
     seq = TokenSequence(ids=rng.integers(0, 12, size=10), s=10)
     padded = pad_to_multiple(seq, cfg.seg_len, 0)
     plan = plan_segments(len(padded.ids), cfg.seg_len, stride=0)
-    labels = SparseLabels([0, 2], 3)
+    labels = label_matrix([[0, 2]], 3)
 
     def loss():
         enc = lambda i, m: encode_segment(params, cfg, i, m)
-        return example_loss(predict(encode_long(enc, padded, plan), head), labels)
+        return bce_loss(T.reshape(predict(encode_long(enc, padded, plan), head), (1, 3)),
+                        labels)
 
     tensors = params.tensors() + head.tensors()
     names = [n for n, _ in params.named()] + [n for n, _ in head.named()]

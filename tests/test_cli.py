@@ -7,6 +7,8 @@ import pytest
 
 from segcoder.cli import (OPTIONS, RESOLVED_NAME, build_parser, emit_resolved,
                           main, option_type, parse_config_file, resolve_options)
+from segcoder.corpus import format_cdf, load_notes, token_length_cdf
+from segcoder.tokenizer import Vocab, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +69,13 @@ class TestGenCorpus:
         assert "--out-dir" in capsys.readouterr().err
 
     def test_infeasible_spec_is_usage_error(self, tmp_path, capsys):
-        rc = main(["gen-corpus", "--out-dir", str(tmp_path),
+        out = tmp_path / "gc_out"
+        rc = main(["gen-corpus", "--out-dir", str(out),
                    "--doc-len-min", "10", "--doc-len-max", "10",
                    "--place-max", "30"])
         assert rc == 2
         assert "placement" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resolved_dump_lists_every_option(self, corpus_dir):
         text = (corpus_dir / RESOLVED_NAME).read_text()
@@ -268,7 +272,10 @@ class TestStats:
         rc = main(["stats", "--corpus", str(corpus_dir / "train.jsonl"),
                    "--vocab", str(corpus_dir / "vocab.txt")])
         assert rc == 0
-        assert capsys.readouterr().out.strip()
+        vocab = Vocab.from_file(corpus_dir / "vocab.txt")
+        notes = load_notes(corpus_dir / "train.jsonl")
+        want = format_cdf(token_length_cdf(notes, lambda t: tokenize(t, vocab).s))
+        assert capsys.readouterr().out == want
 
     def test_out_file(self, corpus_dir, tmp_path, capsys):
         dest = tmp_path / "cdf.tsv"

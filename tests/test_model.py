@@ -8,9 +8,11 @@ from segcoder import kernels
 from segcoder.cnn import CnnConfig
 from segcoder.corpus import LabelSet
 from segcoder.model import CodingModel, new_model
-from segcoder.tensor import Tensor, no_grad, tensor_sum
+from segcoder.tensor import Tensor, add, mul, no_grad, tensor_sum
 from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
 from segcoder.transformer import EncoderConfig
+
+from conftest import assert_parity, loss_and_grads, per_note_probs
 
 
 def make_vocab():
@@ -29,6 +31,12 @@ def cnn_model(seed=0):
     config = CnnConfig(embed_dim=6, filters=16, kernel=3, max_words=50)
     return new_model("cnn", config, make_vocab(), LabelSet(["A", "B", "C"]),
                      s_max=24, seed=seed)
+
+
+def text_probs(model, text):
+    """The [K] probability row of one raw-text note, under no_grad."""
+    with no_grad():
+        return model.probs([model.token_sequence(text)]).data[0]
 
 
 class TestConstruction:
@@ -57,35 +65,37 @@ class TestPrediction:
     @pytest.mark.parametrize("factory", [transformer_model, cnn_model])
     def test_probability_vector_shape_and_range(self, factory):
         model = factory()
-        with no_grad():
-            p = model.probs_for_text("t0 t1 t2").data
+        p = text_probs(model, "t0 t1 t2")
         assert p.shape == (3,)
         assert np.all(p > 0) and np.all(p < 1)
 
     def test_multi_segment_document(self):
         # 20 tokens with seg_len 8 spans three windows
         model = transformer_model()
-        with no_grad():
-            p = model.probs_for_text(" ".join(f"t{i % 8}" for i in range(20))).data
+        p = text_probs(model, " ".join(f"t{i % 8}" for i in range(20)))
         assert p.shape == (3,)
 
     def test_empty_text_rejected(self):
         model = transformer_model()
         with pytest.raises(ValueError, match="empty"):
-            model.probs_for_text("")
+            text_probs(model, "")
 
-    def test_truncation_applied(self):
-        model = transformer_model()
-        long_text = " ".join(["t0"] * 100)
-        seq = model.token_sequence(long_text)
-        assert seq.s == 100
-        with no_grad():
-            model.probs_for_ids(seq)  # must not exceed s_max internally
-        short = model.token_sequence(" ".join(["t0"] * model.s_max))
-        with no_grad():
-            a = model.probs_for_ids(seq).data
-            b = model.probs_for_ids(short).data
-        assert np.array_equal(a, b)
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="no token sequences"):
+            transformer_model().probs([])
+
+    @pytest.mark.parametrize("factory", [transformer_model, cnn_model])
+    def test_token_sequence_truncates(self, factory):
+        model = factory()
+        seq = model.token_sequence(" ".join(["t0"] * 100))
+        assert seq.s == model.s_max and len(seq.ids) == model.s_max
+        assert np.array_equal(text_probs(model, " ".join(["t0"] * 100)),
+                              text_probs(model, " ".join(["t0"] * model.s_max)))
+
+    def test_cnn_truncates_to_max_words(self):
+        model = cnn_model()
+        model.s_max = 1000
+        assert model.token_sequence(" ".join(["t1"] * 80)).s == model.enc_config.max_words
 
     def test_rank_codes_descending_and_topn(self):
         model = transformer_model()
@@ -104,7 +114,7 @@ class TestPrediction:
         probs = np.array([0.5, 0.25, 0.5, 0.9, 0.25, 0.1, 0.5, 0.9, 0.0, 1.0,
                           0.25, 0.3], dtype=np.float32)
         probs[11] = np.nextafter(probs[11], np.float32(1))
-        monkeypatch.setattr(model, "probs_for_text", lambda text: Tensor(probs))
+        monkeypatch.setattr(model, "probs", lambda seqs: Tensor(probs[None, :]))
         p64 = probs.astype(np.float64)
         order = np.argsort(-p64, kind="stable")
         if top_n is not None:
@@ -128,12 +138,10 @@ class TestPersistence:
     def test_round_trip_probabilities_bit_exact(self, factory, tmp_path):
         model = factory()
         text = "t0 t1 t2 t3 t4"
-        with no_grad():
-            before = model.probs_for_text(text).data.copy()
+        before = text_probs(model, text)
         model.save(tmp_path / "ckpt")
         reloaded = CodingModel.load(tmp_path / "ckpt")
-        with no_grad():
-            after = reloaded.probs_for_text(text).data
+        after = text_probs(reloaded, text)
         assert np.array_equal(before, after)
 
     def test_round_trip_preserves_configuration(self, tmp_path):
@@ -187,5 +195,49 @@ class TestBatchedEncoding:
         monkeypatch.setattr(model_mod, "encode_segment", counting_encode)
         monkeypatch.setattr(kernels.active, "scatter_add", counting_scatter)
         ids = np.random.default_rng(3).integers(2, 10, size=37)
-        tensor_sum(model.probs_for_ids(TokenSequence(ids=ids, s=37))).backward()
+        tensor_sum(model.probs([TokenSequence(ids=ids, s=37)])).backward()
         assert calls == {"encode_segment": 1, "scatter_add": 1}
+
+
+PARITY_MODELS = {
+    "transformer": lambda: transformer_model(seed=2),
+    "transformer-stride": lambda: transformer_model(seed=2, stride=3),
+    "cnn": lambda: cnn_model(seed=2),
+}
+
+
+class TestProbsParity:
+    """probs against the per-note reference loop, conftest.per_note_probs."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", [(5,), (3, 20, 11)])
+    @pytest.mark.parametrize("which", sorted(PARITY_MODELS))
+    def test_probs_and_gradients_match_per_note_loop(self, which, lengths, dtype):
+        model = PARITY_MODELS[which]()
+        for _, t in model.named_parameters():
+            t.data = t.data.astype(dtype)
+        rng = np.random.default_rng(len(lengths))
+        seqs = [TokenSequence(ids=rng.integers(2, 10, size=n), s=n) for n in lengths]
+        weights = rng.normal(size=(len(seqs), model.num_classes)).astype(dtype)
+
+        got, got_grads = loss_and_grads(
+            model, lambda: tensor_sum(mul(model.probs(seqs), Tensor(weights))))
+        with no_grad():
+            rows = model.probs(seqs).data
+        assert rows.shape == (len(seqs), model.num_classes) and rows.dtype == dtype
+
+        def oracle():
+            total = None
+            for seq, w in zip(seqs, weights):
+                term = tensor_sum(mul(per_note_probs(model, seq), Tensor(w)))
+                total = term if total is None else add(total, term)
+            return total
+
+        want, want_grads = loss_and_grads(model, oracle)
+        with no_grad():
+            want_rows = np.stack([per_note_probs(model, s).data for s in seqs])
+        assert_parity(rows, want_rows, dtype)
+        assert_parity(got, want, dtype)
+        for (name, _), g, w in zip(model.named_parameters(), got_grads, want_grads):
+            assert g.dtype == dtype, name
+            assert_parity(g, w, dtype)

@@ -6,37 +6,44 @@ import numpy as np
 import pytest
 
 import segcoder.training as tr
+from segcoder.cnn import CnnConfig
 from segcoder.corpus import LabelSet, Note
-from segcoder.metrics import EvalReport
+from segcoder.metrics import EvalReport, label_matrix
 from segcoder.model import CodingModel, new_model
-from segcoder.tensor import Tensor, mul, sigmoid, tensor_sum
+from segcoder.tensor import Tensor, add, mul, no_grad, sigmoid, tensor_sum
 from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, Vocab
 from segcoder.training import (
-    SparseLabels,
     TrainConfig,
     batch_loss,
+    bce_loss,
     evaluate_model,
-    example_loss,
     prepare_examples,
     train_loop,
     train_step,
 )
 from segcoder.transformer import EncoderConfig
 
-from conftest import param_gradcheck
+from conftest import (assert_parity, loss_and_grads, param_gradcheck, per_note_bce,
+                      per_note_batch_loss)
 
 
 def tiny_vocab():
     return Vocab([PAD_TOKEN, UNK_TOKEN] + [f"t{i}" for i in range(8)])
 
 
-def tiny_model(num_codes=2, seed=0):
+def tiny_model(num_codes=2, seed=0, stride=0):
     config = EncoderConfig(num_blocks=1, hidden=16, heads=2, intermediate=32,
                            vocab_size=10, max_positions=8, type_vocab=2,
                            seg_len=8, include_pooler=False)
     label_set = LabelSet([f"C{i}" for i in range(num_codes)])
     return new_model("transformer", config, tiny_vocab(), label_set,
-                     s_max=16, seed=seed)
+                     s_max=16, stride=stride, seed=seed)
+
+
+def tiny_cnn_model(num_codes=2, seed=0):
+    config = CnnConfig(embed_dim=6, filters=16, kernel=3, max_words=50)
+    label_set = LabelSet([f"C{i}" for i in range(num_codes)])
+    return new_model("cnn", config, tiny_vocab(), label_set, s_max=16, seed=seed)
 
 
 def tiny_notes(n=6):
@@ -63,67 +70,71 @@ class TestTrainConfig:
         TrainConfig(max_steps=0, eval_every=100).validate()
 
 
-class TestSparseLabels:
-    def test_sorted_unique(self):
-        labels = SparseLabels([2, 0, 2], num_classes=4)
-        assert labels.indices.tolist() == [0, 2]
-
-    def test_dense_vector(self):
-        labels = SparseLabels([1, 3], num_classes=4)
-        assert labels.dense().tolist() == [0.0, 1.0, 0.0, 1.0]
+class TestLabelMatrix:
+    def test_dense_matrix(self):
+        y = label_matrix([np.array([1, 3]), np.array([0])], num_classes=4)
+        assert y.dtype == bool
+        assert y.astype(int).tolist() == [[0, 1, 0, 1], [1, 0, 0, 0]]
 
     def test_empty_is_all_negative(self):
-        labels = SparseLabels([], num_classes=3)
-        assert labels.dense().tolist() == [0.0, 0.0, 0.0]
+        assert label_matrix([[]], num_classes=3).tolist() == [[False] * 3]
 
     def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="note 1"):
+            label_matrix([[0], [3]], num_classes=3)
         with pytest.raises(ValueError):
-            SparseLabels([3], num_classes=3)
-        with pytest.raises(ValueError):
-            SparseLabels([-1], num_classes=3)
+            label_matrix([[-1]], num_classes=3)
 
 
-class TestExampleLoss:
+class TestBceLoss:
     def test_single_class_half_probability(self):
-        loss = example_loss(Tensor(np.array([0.5])), SparseLabels([0], 1))
+        loss = bce_loss(Tensor(np.array([[0.5]])), [[1]])
         assert float(loss.data) == pytest.approx(math.log(2.0), rel=1e-6)
 
     def test_hand_computed_three_class(self):
         # y=[1,0,0], p=[0.9,0.1,0.2]: -ln.9 - ln.9 - ln.8
-        probs = Tensor(np.array([0.9, 0.1, 0.2]))
-        loss = example_loss(probs, SparseLabels([0], 3))
+        probs = Tensor(np.array([[0.9, 0.1, 0.2]]))
+        loss = bce_loss(probs, label_matrix([[0]], 3))
         expected = -math.log(0.9) - math.log(0.9) - math.log(0.8)
         assert float(loss.data) == pytest.approx(expected, rel=1e-6)
         assert expected == pytest.approx(0.4339, abs=1e-4)
 
+    def test_mean_over_notes(self):
+        # per-note losses -2 ln .9 - ln .8 (as above) and 3 ln 2, averaged
+        probs = Tensor(np.array([[0.9, 0.1, 0.2], [0.5, 0.5, 0.5]]))
+        loss = bce_loss(probs, label_matrix([[0], [1]], 3))
+        expected = (-2 * math.log(0.9) - math.log(0.8) + 3 * math.log(2.0)) / 2
+        assert float(loss.data) == pytest.approx(expected, rel=1e-12)
+
     def test_perfect_predictions_vanish(self):
-        probs = Tensor(np.array([1.0, 0.0, 0.0]))
-        loss = example_loss(probs, SparseLabels([0], 3))
+        probs = Tensor(np.array([[1.0, 0.0, 0.0]]))
+        loss = bce_loss(probs, label_matrix([[0]], 3))
         assert 0.0 <= float(loss.data) < 1e-5
 
     def test_loss_finite_at_extremes(self):
         # clamping keeps the wrong-by-saturation case finite
-        probs = Tensor(np.array([0.0, 1.0]))
-        loss = example_loss(probs, SparseLabels([0], 2))
+        probs = Tensor(np.array([[0.0, 1.0]]))
+        loss = bce_loss(probs, label_matrix([[0]], 2))
         assert np.isfinite(loss.data)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            example_loss(Tensor(np.zeros(3)), SparseLabels([0], 2))
+            bce_loss(Tensor(np.zeros((1, 3))), label_matrix([[0]], 2))
+        with pytest.raises(ValueError):
+            bce_loss(Tensor(np.zeros(2)), label_matrix([[0]], 2))
 
-    def test_gradient_is_p_minus_y_through_sigmoid(self):
-        logits = Tensor(np.array([0.3, -1.2, 2.0], dtype=np.float64),
+    def test_gradient_is_p_minus_y_over_batch_through_sigmoid(self):
+        logits = Tensor(np.array([[0.3, -1.2, 2.0], [1.1, 0.0, -0.4]]),
                         requires_grad=True)
-        labels = SparseLabels([0, 2], 3)
+        y = label_matrix([[0, 2], [1]], 3)
         p = sigmoid(logits)
-        example_loss(p, labels).backward()
-        expected = p.data - labels.dense(dtype=np.float64)
-        assert np.allclose(logits.grad, expected, atol=1e-9)
+        bce_loss(p, y).backward()
+        assert np.allclose(logits.grad, (p.data - y) / 2, atol=1e-9)
 
     def test_gradient_matches_finite_differences(self, rng):
-        logits = Tensor(rng.normal(size=4).astype(np.float64), requires_grad=True)
-        labels = SparseLabels([1, 3], 4)
-        param_gradcheck([logits], lambda: example_loss(sigmoid(logits), labels),
+        logits = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        y = label_matrix([[1, 3], [0]], 4)
+        param_gradcheck([logits], lambda: bce_loss(sigmoid(logits), y),
                         rtol=1e-4, names=["logits"])
 
 
@@ -167,6 +178,65 @@ class TestBatchSemantics:
         with pytest.raises(ValueError, match=r"note 'odd'.*'C7'.*K=2"):
             prepare_examples(model, [Note("ok", "t0", ["C0"]),
                                      Note("odd", "t1", ["C1", "C7"])])
+
+
+PARITY_MODELS = {
+    "transformer": lambda: tiny_model(num_codes=3, seed=4),
+    "transformer-stride": lambda: tiny_model(num_codes=3, seed=4, stride=3),
+    "cnn": lambda: tiny_cnn_model(num_codes=3, seed=4),
+}
+
+# a short note, one cut to s_max = 16, and one spanning two windows
+PARITY_NOTES = [Note("a", "t0 t3", ["C0"]),
+                Note("b", " ".join(f"t{i % 8}" for i in range(30)), ["C1", "C2"]),
+                Note("c", "t1 t2 t5 t7 t1 t4 t6 t0 t2 t3", [])]
+
+
+class TestBatchLossParity:
+    """batch_loss and bce_loss against the per-note reference chain,
+    conftest.per_note_batch_loss and per_note_bce."""
+
+    @pytest.mark.parametrize("saturated", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("which", sorted(PARITY_MODELS))
+    def test_loss_and_gradients_match_per_note_chain(self, which, size, dtype, saturated):
+        model = PARITY_MODELS[which]()
+        for _, t in model.named_parameters():
+            t.data = t.data.astype(dtype)
+        batch = prepare_examples(model, PARITY_NOTES[-size:])
+        if saturated:
+            # probabilities past both clamp bounds, for positive and negative labels
+            model.head.b.data[:] = np.array([40.0, -40.0, 40.0], dtype=dtype)
+            with no_grad():
+                p = model.probs([seq for seq, _ in batch]).data
+            assert (p > tr.CLAMP_HI).any() and (p < tr.CLAMP_LO).any()
+        got, got_grads = loss_and_grads(model, lambda: batch_loss(model, batch))
+        want, want_grads = loss_and_grads(model, lambda: per_note_batch_loss(model, batch))
+        assert got.dtype == dtype
+        assert_parity(got, want, dtype)
+        for g, w in zip(got_grads, want_grads):
+            assert_parity(g, w, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_at_and_beyond_clamp_bounds(self, dtype):
+        lo, hi = tr.CLAMP_LO, tr.CLAMP_HI
+        values = np.array([[lo, hi, 0.0, 1.0],
+                           [1e-9, 1.0 - 1e-9, 0.3, 0.7],
+                           [lo, hi, 0.5, 1e-7 / 2]], dtype=dtype)
+        indices = [np.array([0, 3]), np.array([1, 2]), np.array([], dtype=np.int64)]
+        probs = Tensor(values, requires_grad=True)
+        got = bce_loss(probs, label_matrix(indices, 4))
+        got.backward()
+        rows = [Tensor(v, requires_grad=True) for v in values]
+        losses = [per_note_bce(r, i) for r, i in zip(rows, indices)]
+        want = mul(add(add(losses[0], losses[1]), losses[2]), 1.0 / len(rows))
+        want.backward()
+        assert_parity(got.data, want.data, dtype)
+        assert_parity(probs.grad, np.stack([r.grad for r in rows]), dtype)
+        # zero gradient strictly outside [lo, hi]
+        outside = (values < dtype(lo)) | (values > dtype(hi))
+        assert outside.any() and not probs.grad[outside].any()
 
 
 class TestTrainStep:
@@ -304,6 +374,18 @@ class TestTrainLoop:
         for p, b in zip(model.parameters(), initial):
             assert np.array_equal(p.data, b)
         assert not (tmp_path / "best").exists()
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_note_fails_before_first_step(self, tmp_path, monkeypatch, split):
+        notes = {"train": tiny_notes(4), "val": tiny_notes(2)}
+        notes[split].append(Note("blank", "   ", ["C0"]))
+        steps = []
+        monkeypatch.setattr(tr, "train_step", lambda *a: steps.append(1))
+        with pytest.raises(ValueError, match=r"note 'blank': text has no tokens"):
+            train_loop(tiny_model(), notes["train"], notes["val"], self.config(), tmp_path)
+        assert steps == []
+        assert not (tmp_path / "best").exists()
+        assert not (tmp_path / "latest").exists()
 
     def test_seed_determinism_byte_identical_logs(self, tmp_path):
         logs = []
