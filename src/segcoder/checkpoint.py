@@ -49,6 +49,10 @@ def load_tensors(directory):
             offset = int(offset)
         except ValueError as e:
             raise ValueError(f"{manifest}:{lineno}: malformed manifest line") from e
+        if name in out:
+            raise ValueError(f"{manifest}:{lineno}: duplicate tensor name {name!r}")
+        if any(n < 0 for n in shape):
+            raise ValueError(f"{manifest}:{lineno}: tensor {name!r} has a negative dimension in shape {shape}")
         count = int(np.prod(shape)) if shape else 1
         needed = offset + 4 * count
         if offset < 0 or needed > len(blob):

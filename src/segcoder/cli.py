@@ -238,15 +238,13 @@ def cmd_eval(opt):
                 f"label-space mismatch: --codes has K={len(given)}, "
                 f"checkpoint has K={model.num_classes}")
     threshold = opt["threshold"]
-    if threshold >= 0.0:
-        if not 0.0 <= threshold <= 1.0:
-            raise UsageError(f"--threshold must be in [0,1], got {threshold}")
-    else:
-        val_path = opt["val"]
-        if not val_path:
+    if threshold == OPTIONS["eval"]["threshold"]:  # unset: search on --val
+        if not opt["val"]:
             raise UsageError("--val is required unless --threshold is given")
         val_ex = _load_examples(model, _require_file(opt, "val", "--val"), "validation")
         threshold = evaluate_model(model, val_ex).threshold
+    elif not 0.0 <= threshold <= 1.0:
+        raise UsageError(f"--threshold must be in [0,1], got {threshold}")
     test_ex = _load_examples(model, test_path, "test")
     report = evaluate_model(model, test_ex, threshold=threshold)
     sys.stdout.write(format_report_kv(report))

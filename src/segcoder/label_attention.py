@@ -88,50 +88,41 @@ def label_logits(E, Q, W, b):
         np.matmul(a, ones, out=row_sum[lo:hi, 0])
         np.matmul(a, e, out=z[lo:hi])
         z[lo:hi] /= row_sum[lo:hi]
-    out = _make(np.einsum("kd,kd->k", z, w) + b.data, (E, Q, W, b))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad[:, None]
-            if W.requires_grad:
-                W._accum(g * z)
-            if b.requires_grad:
-                b._accum(out.grad)
-            # With e1 = [e | 1], exp([q | -max] @ e1.T) is alpha * sum, and
-            # ([dz | -dz.z] / sum) @ e1.T times it is dscores: one GEMM of
-            # both stacked rows against e1 replaces the passes over
-            # [block, s] that subtract the max and divide by the sum. dE
-            # gets alpha.T @ dz + dscores.T @ q as one GEMM over both halves.
-            d = e.shape[1]
-            e1 = np.concatenate([e, np.ones((s, 1), dtype=dtype)], axis=1)
-            dE = np.zeros_like(e)
-            dQ = np.empty_like(q)
-            nmax = 2 * min(BLOCK, K)
-            lhs = np.empty((nmax, d + 1), dtype=dtype)   # [q | -max; dz | -dz.z]
-            rhs = np.empty((nmax, d), dtype=dtype)       # [dz / sum; q]
-            buf = np.empty((nmax, s), dtype=dtype)       # [alpha * sum; dscores]
-            for lo in range(0, K, BLOCK):
-                hi = min(lo + BLOCK, K)
-                nb = hi - lo
-                lhs[:nb, :d] = q[lo:hi]
-                lhs[:nb, d] = -row_max[lo:hi, 0]
-                dz = lhs[nb:2 * nb, :d]
-                np.multiply(g[lo:hi], w[lo:hi], out=dz)
-                lhs[nb:2 * nb, d] = -np.einsum("kd,kd->k", dz, z[lo:hi])
-                lhs[nb:2 * nb] /= row_sum[lo:hi]
-                np.matmul(lhs[:2 * nb], e1.T, out=buf[:2 * nb])
-                ex, da = buf[:nb], buf[nb:2 * nb]
-                np.exp(ex, out=ex)
-                da *= ex                                       # dscores
-                rhs[:nb] = dz
-                rhs[nb:2 * nb] = q[lo:hi]
-                dE += buf[:2 * nb].T @ rhs[:2 * nb]
-                np.matmul(da, e, out=dQ[lo:hi])
-            if E.requires_grad:
-                E._accum(dE)
-            if Q.requires_grad:
-                Q._accum(dQ)
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        # With e1 = [e | 1], exp([q | -max] @ e1.T) is alpha * sum, and
+        # ([dz | -dz.z] / sum) @ e1.T times it is dscores: one GEMM of
+        # both stacked rows against e1 replaces the passes over
+        # [block, s] that subtract the max and divide by the sum. dE
+        # gets alpha.T @ dz + dscores.T @ q as one GEMM over both halves.
+        gk = g[:, None]
+        d = e.shape[1]
+        e1 = np.concatenate([e, np.ones((s, 1), dtype=dtype)], axis=1)
+        dE = np.zeros_like(e)
+        dQ = np.empty_like(q)
+        nmax = 2 * min(BLOCK, K)
+        lhs = np.empty((nmax, d + 1), dtype=dtype)   # [q | -max; dz | -dz.z]
+        rhs = np.empty((nmax, d), dtype=dtype)       # [dz / sum; q]
+        buf = np.empty((nmax, s), dtype=dtype)       # [alpha * sum; dscores]
+        for lo in range(0, K, BLOCK):
+            hi = min(lo + BLOCK, K)
+            nb = hi - lo
+            lhs[:nb, :d] = q[lo:hi]
+            lhs[:nb, d] = -row_max[lo:hi, 0]
+            dz = lhs[nb:2 * nb, :d]
+            np.multiply(gk[lo:hi], w[lo:hi], out=dz)
+            lhs[nb:2 * nb, d] = -np.einsum("kd,kd->k", dz, z[lo:hi])
+            lhs[nb:2 * nb] /= row_sum[lo:hi]
+            np.matmul(lhs[:2 * nb], e1.T, out=buf[:2 * nb])
+            ex, da = buf[:nb], buf[nb:2 * nb]
+            np.exp(ex, out=ex)
+            da *= ex                                       # dscores
+            rhs[:nb] = dz
+            rhs[nb:2 * nb] = q[lo:hi]
+            dE += buf[:2 * nb].T @ rhs[:2 * nb]
+            np.matmul(da, e, out=dQ[lo:hi])
+        return dE, dQ, gk * z, g
+    return _make(np.einsum("kd,kd->k", z, w) + b.data, (E, Q, W, b), backward)
 
 
 def predict(E, head):

@@ -1,10 +1,16 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 A ``Tensor`` wraps a numpy float array (float32 by default; float64 is used
-by the finite-difference gradient tests) and records the backward closure of
-the op that produced it. Calling ``backward()`` on a scalar result walks the
+by the finite-difference gradient tests). Each op records its parents and a
+``backward(g)`` function that returns one gradient per parent (None where a
+parent needs none). Calling ``backward()`` on a scalar result walks the
 graph in reverse topological order and accumulates gradients into every
 reachable tensor with ``requires_grad=True``.
+
+``Tensor.backward`` alone reduces the gradients ops return to their
+parents' shapes and accumulates them, keeping a first gradient without a
+copy only when it has the tensor's dtype and strides and shares no memory
+with the gradient it was computed from.
 
 Tensors are immutable once they enter a forward graph.
 """
@@ -62,10 +68,25 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accum(self, g, upstream):
+        """Add gradient ``g``, computed from ``upstream``, into ``self.grad``.
+
+        A first gradient becomes ``self.grad`` without a copy only when no
+        other node can hold it: a writeable array of this tensor's dtype and
+        strides that shares no memory with ``upstream`` (``add`` returns
+        ``upstream`` itself; ``reshape``, ``transpose`` and ``concat_rows``
+        return views of it). Otherwise it is copied into a new array in
+        ``data``'s layout. Later gradients are added in place.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (g.flags.writeable and g.dtype == self.data.dtype
+              and g.strides == self.data.strides
+              and not np.may_share_memory(g, upstream)):
+            self.grad = g
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def zero_grad(self):
         self.grad = None
@@ -74,13 +95,26 @@ class Tensor:
         """Accumulate gradients of this tensor w.r.t. every graph leaf.
 
         ``seed`` defaults to ones, which is only meaningful for scalar
-        outputs (the usual loss case). The graph is released as it is
-        walked, so a second ``backward()`` through it raises RuntimeError.
+        outputs (the usual loss case); a given seed must have this tensor's
+        shape. A tensor that requires no gradient (built under ``no_grad``
+        or from tensors that require none) raises RuntimeError, as does a
+        second ``backward()`` through a graph, which is released as it is
+        walked.
         """
+        if not self.requires_grad:
+            raise RuntimeError(
+                "backward() on a tensor that requires no gradient: it was built "
+                "under no_grad() or from tensors that require none")
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed requires a scalar tensor")
             seed = np.ones_like(self.data)
+        else:
+            seed = np.asarray(seed)
+            if seed.shape != self.data.shape:
+                raise ValueError(
+                    f"backward() seed of shape {seed.shape} does not match "
+                    f"tensor of shape {self.data.shape}")
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -96,17 +130,20 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accum(seed)
-        # Each node is released once it has run: its closure (which holds
-        # the node itself, its parents and their saved arrays) is dropped,
-        # so the graph is freed by reference counting as the walk goes,
-        # not later by the cyclic collector.
+        self._accum(seed, seed)
+        # Each node is released once it has run: its backward function (which
+        # holds its parents and their saved arrays) is dropped, so the graph
+        # is freed by reference counting as the walk goes, not later by the
+        # cyclic collector.
         while topo:
             node = topo.pop()
             if node._backward is None:
                 continue
-            if node.grad is not None:
-                node._backward()
+            g = node.grad
+            if g is not None:
+                for p, pg in zip(node._parents, node._backward(g), strict=True):
+                    if pg is not None and p.requires_grad:
+                        p._accum(_unbroadcast(pg, p.data.shape), g)
             node._backward = _released
             node._parents = ()
 
@@ -146,17 +183,20 @@ class Tensor:
         return tensor_mean(self, axis)
 
 
-def _released():
+def _released(g):
     raise RuntimeError(
         "backward() through a graph that an earlier backward() already "
         "released; run the forward pass again")
 
 
-def _make(data, parents):
+def _make(data, parents, backward):
+    """Result tensor of an op; records ``parents`` and ``backward`` when a
+    parent requires a gradient and recording is on."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
+        out._backward = backward
     return out
 
 
@@ -187,50 +227,24 @@ def _coerce_pair(a, b):
 
 def add(a, b):
     a, b = _coerce_pair(a, b)
-    out = _make(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a._accum(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(out.grad, b.data.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a, b):
     a, b = _coerce_pair(a, b)
-    out = _make(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a._accum(_unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(out.grad * a.data, b.data.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data * b.data, (a, b),
+                 lambda g: (g * b.data if a.requires_grad else None,
+                            g * a.data if b.requires_grad else None))
 
 
 def neg(a):
-    out = _make(-a.data, (a,))
-    if out.requires_grad:
-        def _bw():
-            a._accum(-out.grad)
-        out._backward = _bw
-    return out
+    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def sub(a, b):
     a, b = _coerce_pair(a, b)
-    out = _make(a.data - b.data, (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a._accum(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-out.grad, b.data.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data - b.data, (a, b),
+                 lambda g: (g, -g if b.requires_grad else None))
 
 
 def matmul(a, b):
@@ -238,46 +252,26 @@ def matmul(a, b):
         raise ValueError(f"matmul expects >=2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2] or a.data.shape[:-2] != b.data.shape[:-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = _make(a.data @ b.data, (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a._accum(out.grad @ np.swapaxes(b.data, -1, -2))
-            if b.requires_grad:
-                b._accum(np.swapaxes(a.data, -1, -2) @ out.grad)
-        out._backward = _bw
-    return out
+    return _make(a.data @ b.data, (a, b),
+                 lambda g: (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+                            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None))
 
 
 def reshape(a, shape):
-    out = _make(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        def _bw():
-            a._accum(out.grad.reshape(a.data.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def transpose(a, axes=None):
-    out = _make(np.transpose(a.data, axes), (a,))
-    if out.requires_grad:
-        inv = np.argsort(axes) if axes is not None else None
-        def _bw():
-            a._accum(np.transpose(out.grad, inv))
-        out._backward = _bw
-    return out
+    return _make(np.transpose(a.data, axes), (a,),
+                 lambda g: (np.transpose(g, None if axes is None else np.argsort(axes)),))
 
 
 def tensor_sum(a, axis=None):
-    out = _make(np.sum(a.data, axis=axis, keepdims=False), (a,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.data.shape))
-        out._backward = _bw
-    return out
+    def backward(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape),)
+    return _make(np.sum(a.data, axis=axis, keepdims=False), (a,), backward)
 
 
 def tensor_mean(a, axis=None):
@@ -286,50 +280,28 @@ def tensor_mean(a, axis=None):
 
 
 def log(a):
-    out = _make(np.log(a.data), (a,))
-    if out.requires_grad:
-        def _bw():
-            a._accum(out.grad / a.data)
-        out._backward = _bw
-    return out
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def clamp(a, lo, hi):
     """Clip values to [lo, hi]; gradient is zero where clipping bound."""
-    out = _make(np.clip(a.data, lo, hi), (a,))
-    if out.requires_grad:
-        mask = (a.data >= lo) & (a.data <= hi)
-        def _bw():
-            a._accum(out.grad * mask)
-        out._backward = _bw
-    return out
+    return _make(np.clip(a.data, lo, hi), (a,),
+                 lambda g: (g * ((a.data >= lo) & (a.data <= hi)),))
 
 
 def tanh(a):
-    out = _make(np.tanh(a.data), (a,))
-    if out.requires_grad:
-        def _bw():
-            a._accum(out.grad * (1.0 - out.data * out.data))
-        out._backward = _bw
-    return out
+    y = np.tanh(a.data)
+    return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def sigmoid(a):
-    out = _make(kernels.active.sigmoid_fwd(a.data), (a,))
-    if out.requires_grad:
-        def _bw():
-            a._accum(kernels.active.sigmoid_bwd(out.grad, out.data))
-        out._backward = _bw
-    return out
+    y = kernels.active.sigmoid_fwd(a.data)
+    return _make(y, (a,), lambda g: (kernels.active.sigmoid_bwd(g, y),))
 
 
 def gelu(a):
-    out = _make(kernels.active.gelu_fwd(a.data), (a,))
-    if out.requires_grad:
-        def _bw():
-            a._accum(kernels.active.gelu_bwd(out.grad, a.data))
-        out._backward = _bw
-    return out
+    return _make(kernels.active.gelu_fwd(a.data), (a,),
+                 lambda g: (kernels.active.gelu_bwd(g, a.data),))
 
 
 def softmax(a, axis=-1):
@@ -343,17 +315,13 @@ def softmax(a, axis=-1):
     y = y2.reshape(x.shape)
     if ax != last:
         y = np.moveaxis(y, -1, ax)
-    out = _make(y, (a,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad if ax == last else np.moveaxis(out.grad, ax, -1)
-            dx2 = kernels.active.softmax_bwd(np.ascontiguousarray(g.reshape(-1, n)), y2)
-            dx = dx2.reshape(x.shape)
-            if ax != last:
-                dx = np.moveaxis(dx, -1, ax)
-            a._accum(dx)
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        if ax != last:
+            g = np.moveaxis(g, ax, -1)
+        dx = kernels.active.softmax_bwd(np.ascontiguousarray(g.reshape(-1, n)), y2).reshape(x.shape)
+        return (dx if ax == last else np.moveaxis(dx, -1, ax),)
+    return _make(y, (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):
@@ -361,21 +329,12 @@ def layer_norm(x, gamma, beta, eps=1e-12):
     d = x.data.shape[-1]
     x2 = np.ascontiguousarray(x.data.reshape(-1, d))
     y2, mean, rstd = kernels.active.layernorm_fwd(x2, gamma.data, beta.data, eps)
-    out = _make(y2.reshape(x.data.shape), (x, gamma, beta))
-    if out.requires_grad:
-        def _bw():
-            dy2 = np.ascontiguousarray(out.grad.reshape(-1, d))
-            dx2, dgamma, dbeta = kernels.active.layernorm_bwd(
-                dy2, x2, gamma.data, mean, rstd
-            )
-            if x.requires_grad:
-                x._accum(dx2.reshape(x.data.shape))
-            if gamma.requires_grad:
-                gamma._accum(dgamma)
-            if beta.requires_grad:
-                beta._accum(dbeta)
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        dx2, dgamma, dbeta = kernels.active.layernorm_bwd(
+            np.ascontiguousarray(g.reshape(-1, d)), x2, gamma.data, mean, rstd)
+        return dx2.reshape(x.data.shape), dgamma, dbeta
+    return _make(y2.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
 def embedding_gather(table, ids):
@@ -389,52 +348,36 @@ def embedding_gather(table, ids):
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         bad = ids[(ids < 0) | (ids >= n_rows)][0]
         raise IndexError(f"id {bad} out of range for table with {n_rows} rows")
-    out = _make(table.data[ids], (table,))
-    if out.requires_grad:
-        d = table.data.shape[1]
-        def _bw():
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            kernels.active.scatter_add(table.grad, ids.reshape(-1), out.grad.reshape(-1, d))
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        dtable = np.zeros_like(table.data)
+        kernels.active.scatter_add(dtable, ids.reshape(-1), g.reshape(-1, dtable.shape[1]))
+        return (dtable,)
+    return _make(table.data[ids], (table,), backward)
 
 
 def mask_fill(a, mask, value=MASK_FILL_VALUE):
     """Replace entries where ``mask`` is True; their gradient is zero."""
     mask = np.asarray(mask, dtype=bool)
-    out = _make(np.where(mask, a.data.dtype.type(value), a.data), (a,))
-    if out.requires_grad:
-        def _bw():
-            g = np.where(mask, 0.0, out.grad)
-            a._accum(_unbroadcast(g, a.data.shape))
-        out._backward = _bw
-    return out
+    return _make(np.where(mask, a.data.dtype.type(value), a.data), (a,),
+                 lambda g: (np.where(mask, 0.0, g),))
 
 
 def concat_rows(tensors):
     """Concatenate along axis 0."""
-    out = _make(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors))
-    if out.requires_grad:
+    def backward(g):
         offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
-        def _bw():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    t._accum(out.grad[lo:hi])
-        out._backward = _bw
-    return out
+        return tuple(g[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+    return _make(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), backward)
 
 
 def slice_rows(a, start, stop):
     """Rows [start, stop) along axis 0."""
-    out = _make(a.data[start:stop], (a,))
-    if out.requires_grad:
-        def _bw():
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += out.grad
-        out._backward = _bw
-    return out
+    def backward(g):
+        da = np.zeros_like(a.data)
+        da[start:stop] = g
+        return (da,)
+    return _make(a.data[start:stop], (a,), backward)
 
 
 def unfold_rows(a, k):
@@ -454,13 +397,11 @@ def unfold_rows(a, k):
     padded = np.zeros((n + k - 1, d), dtype=a.data.dtype)
     padded[half:half + n] = a.data
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, d))[:, 0]
-    out = _make(np.ascontiguousarray(windows).reshape(n, k * d), (a,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad.reshape(n, k, d)
-            dpadded = np.zeros((n + k - 1, d), dtype=g.dtype)
-            for j in range(k):
-                dpadded[j:j + n] += g[:, j]
-            a._accum(dpadded[half:half + n])
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        g = g.reshape(n, k, d)
+        dpadded = np.zeros((n + k - 1, d), dtype=g.dtype)
+        for j in range(k):
+            dpadded[j:j + n] += g[:, j]
+        return (dpadded[half:half + n],)
+    return _make(np.ascontiguousarray(windows).reshape(n, k * d), (a,), backward)

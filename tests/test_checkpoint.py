@@ -72,3 +72,23 @@ def test_negative_offset_rejected(tmp_path):
     (tmp_path / MANIFEST_NAME).write_text("x\t2\t-4\n")
     with pytest.raises(ValueError, match="'x' at offset -4"):
         load_tensors(tmp_path)
+
+
+def test_negative_dimension_rejected(tmp_path):
+    # 12 floats: a count of -3 read the whole blob and reshaped to (4, 3)
+    save_tensors(tmp_path, [("a", np.zeros(12, dtype=np.float32))])
+    (tmp_path / MANIFEST_NAME).write_text("a\t-1,3\t0\n")
+    with pytest.raises(ValueError) as exc:
+        load_tensors(tmp_path)
+    msg = str(exc.value)
+    assert f"{tmp_path / MANIFEST_NAME}:1:" in msg and "negative" in msg and "'a'" in msg
+
+
+def test_duplicate_name_rejected(tmp_path):
+    save_tensors(tmp_path, [("a", np.zeros(2, dtype=np.float32)),
+                            ("b", np.ones(2, dtype=np.float32))])
+    (tmp_path / MANIFEST_NAME).write_text("a\t2\t0\na\t2\t8\n")
+    with pytest.raises(ValueError) as exc:
+        load_tensors(tmp_path)
+    msg = str(exc.value)
+    assert f"{tmp_path / MANIFEST_NAME}:2:" in msg and "duplicate" in msg and "'a'" in msg

@@ -190,11 +190,15 @@ class TestEval:
         assert rc == 2
         assert "--val" in capsys.readouterr().err
 
-    def test_threshold_out_of_range(self, corpus_dir, checkpoint_dir, capsys):
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.5"])
+    def test_threshold_out_of_range(self, corpus_dir, checkpoint_dir, capsys, threshold):
+        # only the unset default (-1) searches on --val; -0.5 must not
         rc = main(["eval", "--checkpoint", str(checkpoint_dir),
                    "--test", str(corpus_dir / "test.jsonl"),
-                   "--threshold", "1.5"])
+                   "--val", str(corpus_dir / "val.jsonl"),
+                   "--threshold", threshold])
         assert rc == 2
+        assert f"got {float(threshold)}" in capsys.readouterr().err
 
     def test_label_space_mismatch_names_both(self, corpus_dir, checkpoint_dir,
                                              tmp_path, capsys):

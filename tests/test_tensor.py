@@ -1,12 +1,15 @@
 """Tensor op semantics and reverse-mode gradients against the
 finite-difference oracle (20 random small inputs per differentiable op)."""
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segcoder
 from conftest import fd_gradients, gradcheck
 from segcoder.tensor import (MASK_FILL_VALUE, Tensor, add, clamp, concat_rows,
                              embedding_gather, gelu, layer_norm, log,
@@ -139,6 +142,23 @@ class TestForward:
         with pytest.raises(ValueError):
             mul(x, x).backward()
 
+    def test_backward_without_gradient_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            recorded_off = tensor_sum(mul(x, x))
+        constant = tensor_sum(mul(Tensor(np.ones(3)), 2.0))
+        for loss in (recorded_off, constant):
+            with pytest.raises(RuntimeError, match="requires no gradient"):
+                loss.backward()
+        assert x.grad is None
+
+    def test_backward_seed_shape_must_match(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError) as exc:
+            mul(x, 2.0).backward(np.ones(1))
+        assert "(1,)" in str(exc.value) and "(3,)" in str(exc.value)
+        assert x.grad is None
+
     def test_accumulation_linearity(self, rng):
         x = rng.normal(size=(4, 3))
         a = Tensor(x.copy(), requires_grad=True)
@@ -179,6 +199,119 @@ class TestGraphRelease:
         tensor_sum(h).backward()
         with pytest.raises(RuntimeError, match="released"):
             tensor_sum(mul(h, 2.0)).backward()
+
+
+class TestGradientOwnership:
+    """The first gradient into a tensor is kept only if no other node holds
+    it. Interior ``.grad`` arrays are checked after ``backward()``: an
+    aliased one would have been changed by accumulation into its parents."""
+
+    def test_tensor_used_twice_by_one_op(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = rng.normal(size=(2, 3))
+        h = mul(x, 3.0)
+        y = add(h, h)
+        tensor_sum(mul(y, Tensor(w))).backward()
+        np.testing.assert_array_equal(y.grad, w)
+        np.testing.assert_array_equal(h.grad, 2 * w)
+        np.testing.assert_array_equal(x.grad, 6 * w)
+
+        x2 = Tensor(x.data.copy(), requires_grad=True)
+        h2 = mul(x2, 3.0)
+        y2 = mul(h2, h2)
+        tensor_sum(mul(y2, Tensor(w))).backward()
+        np.testing.assert_array_equal(y2.grad, w)
+        np.testing.assert_allclose(h2.grad, 2 * h2.data * w, rtol=1e-15)
+        np.testing.assert_allclose(x2.grad, 18 * x.data * w, rtol=1e-15)
+
+    def test_tensor_with_two_consumers(self, rng):
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        w1, w2 = rng.normal(size=(3,)), rng.normal(size=(3,))
+        h = mul(x, 2.0)
+        u = add(h, Tensor(np.ones(3)))
+        v = mul(h, 3.0)
+        loss = add(tensor_sum(mul(u, Tensor(w1))), tensor_sum(mul(v, Tensor(w2))))
+        loss.backward()
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        np.testing.assert_array_equal(u.grad, w1)
+        np.testing.assert_array_equal(v.grad, w2)
+        np.testing.assert_allclose(h.grad, w1 + 3 * w2, rtol=1e-15)
+        np.testing.assert_allclose(x.grad, 2 * (w1 + 3 * w2), rtol=1e-15)
+
+    def test_leaf_reached_through_views(self, rng):
+        # transpose, reshape, concat_rows and tensor_sum hand on views of the
+        # gradient they receive; each path below reaches the same leaf
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w_t, w_r, w_c = rng.normal(size=(3, 2)), rng.normal(size=(6,)), rng.normal(size=(4, 3))
+        t = transpose(x)
+        r = reshape(x, (6,))
+        c = concat_rows([x, x])
+        s = tensor_sum(x, axis=1)
+        loss = add(add(tensor_sum(mul(t, Tensor(w_t))), tensor_sum(mul(r, Tensor(w_r)))),
+                   add(tensor_sum(mul(c, Tensor(w_c))), tensor_sum(s)))
+        loss.backward()
+        for node, w in ((t, w_t), (r, w_r), (c, w_c), (s, np.ones(2))):
+            np.testing.assert_array_equal(node.grad, w)
+        expected = w_t.T + w_r.reshape(2, 3) + w_c[:2] + w_c[2:] + 1.0
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-14)
+
+    def test_float64_gradient_into_float32_tensor(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+        w = rng.normal(size=(2, 3))
+        y = add(x, Tensor(np.zeros((2, 3))))
+        assert y.data.dtype == np.float64
+        tensor_sum(mul(y, Tensor(w))).backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, w.astype(np.float32))
+        np.testing.assert_array_equal(y.grad, w)
+
+    def test_zero_dim_gradients_are_owned_arrays(self):
+        # a product of 0-d arrays is a numpy scalar, and tensor_sum's
+        # broadcast of one is read-only: neither can take a later += in place
+        x = Tensor(np.array(2.0), requires_grad=True)
+        s = tensor_sum(mul(x, 3.0))
+        add(mul(s, 2.0), mul(x, 5.0)).backward()
+        assert isinstance(x.grad, np.ndarray) and x.grad.flags.writeable
+        assert x.grad == 11.0
+        assert isinstance(s.grad, np.ndarray) and s.grad == 2.0
+
+    def test_transposed_leaf_keeps_its_layout(self, rng):
+        x = Tensor(rng.normal(size=(3, 2)).T, requires_grad=True)
+        w = rng.normal(size=(2, 3))
+        tensor_sum(mul(mul(x, 2.0), Tensor(w))).backward()
+        assert x.grad.strides == x.data.strides and not x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, 2 * w)
+
+
+def test_only_tensor_accumulates_gradients():
+    # every gradient reaches a tensor through Tensor.backward: no op, and no
+    # module outside Tensor, calls _accum or writes .grad itself
+    def grad_target(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr == "grad"
+
+    offenders = []
+    for path in sorted(Path(segcoder.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tensor_class = {id(n) for c in tree.body
+                        if isinstance(c, ast.ClassDef) and c.name == "Tensor"
+                        for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            if id(node) in tensor_class:
+                continue
+            if isinstance(node, ast.Assign):
+                bad = any(grad_target(t) for t in node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                bad = grad_target(node.target)
+            elif isinstance(node, ast.Call):
+                bad = (isinstance(node.func, ast.Attribute) and node.func.attr == "_accum"
+                       or any(k.arg == "out" and grad_target(k.value) for k in node.keywords))
+            else:
+                bad = False
+            if bad:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 class TestGradients:
