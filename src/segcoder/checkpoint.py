@@ -3,8 +3,14 @@
 Manifest lines are ``name<TAB>dim1,dim2,...<TAB>byte_offset``; the blob holds
 each tensor's row-major float32 bytes at the stated offset. Round trips are
 bit-exact for float32 inputs.
+
+Loading reads the blob once into one writable buffer and returns each tensor
+as a float32 view of it, so a loaded model's parameters copy nothing. A
+manifest whose tensors share bytes is refused: as views they would share
+memory, and an in-place update of one would change the other.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +38,15 @@ def save_tensors(directory, named_arrays):
 
 
 def load_tensors(directory):
-    """Read a checkpoint back as an ordered ``{name: float32 array}`` dict."""
+    """Read a checkpoint back as an ordered ``{name: float32 array}`` dict
+    of writable views of one buffer, no two of which share memory."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     blob_path = directory / BLOB_NAME
     if not manifest.exists() or not blob_path.exists():
         raise FileNotFoundError(f"no checkpoint at {directory}")
-    blob = blob_path.read_bytes()
-    out = {}
+    blob = np.fromfile(blob_path, dtype=np.uint8)
+    entries = {}  # name -> (line number, shape, offset, byte count)
     for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -49,16 +56,24 @@ def load_tensors(directory):
             offset = int(offset)
         except ValueError as e:
             raise ValueError(f"{manifest}:{lineno}: malformed manifest line") from e
-        if name in out:
+        if name in entries:
             raise ValueError(f"{manifest}:{lineno}: duplicate tensor name {name!r}")
         if any(n < 0 for n in shape):
             raise ValueError(f"{manifest}:{lineno}: tensor {name!r} has a negative dimension in shape {shape}")
-        count = int(np.prod(shape)) if shape else 1
-        needed = offset + 4 * count
-        if offset < 0 or needed > len(blob):
+        nbytes = 4 * math.prod(shape)
+        if offset < 0 or offset + nbytes > blob.size:
             raise ValueError(
                 f"{manifest}:{lineno}: tensor {name!r} at offset {offset} needs "
-                f"{needed} bytes, but {blob_path} holds {len(blob)}")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        out[name] = arr.reshape(shape).copy()
-    return out
+                f"{offset + nbytes} bytes, but {blob_path} holds {blob.size}")
+        entries[name] = (lineno, shape, offset, nbytes)
+    # Sorted by start, any two ranges that overlap imply two neighbours that do.
+    spans = sorted((off, off + n, lineno, name)
+                   for name, (lineno, _, off, n) in entries.items() if n)
+    for prev, span in zip(spans, spans[1:]):
+        if span[0] < prev[1]:
+            a, b = sorted((prev, span), key=lambda r: r[2])
+            raise ValueError(
+                f"{manifest}:{b[2]}: tensor {b[3]!r} overlaps {a[3]!r} (line {a[2]}): "
+                f"bytes [{b[0]}, {b[1]}) and [{a[0]}, {a[1]})")
+    return {name: np.frombuffer(blob, dtype="<f4", count=n // 4, offset=off).reshape(shape)
+            for name, (_, shape, off, n) in entries.items()}

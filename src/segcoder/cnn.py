@@ -17,7 +17,7 @@ import numpy as np
 
 from .tensor import Tensor, add, embedding_gather, matmul, tanh, unfold_rows
 from .tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
-from .transformer import truncated_normal
+from .transformer import init_weight
 
 WORD_MIN_FREQ = 3
 
@@ -36,16 +36,18 @@ class CnnConfig:
 
 
 class CnnParams:
+    """Word embeddings and convolution; ``rng`` as for ``init_weight``."""
+
     def __init__(self, config, rng, dtype=np.float32):
         if config.vocab_size < 2:
             raise ValueError("word vocabulary must be set before allocating parameters")
         self.config = config
         self.word_emb = Tensor(
-            truncated_normal(rng, (config.vocab_size, config.embed_dim), dtype=dtype),
+            init_weight(rng, (config.vocab_size, config.embed_dim), dtype=dtype),
             requires_grad=True,
         )
         self.conv_w = Tensor(
-            truncated_normal(rng, (config.kernel * config.embed_dim, config.filters), dtype=dtype),
+            init_weight(rng, (config.kernel * config.embed_dim, config.filters), dtype=dtype),
             requires_grad=True,
         )
         self.conv_b = Tensor(np.zeros(config.filters, dtype=dtype), requires_grad=True)

@@ -21,17 +21,20 @@ buffer to subtract or divide them.
 import numpy as np
 
 from .tensor import Tensor, _make, matmul, reshape, sigmoid, softmax
-from .transformer import truncated_normal
+from .transformer import init_weight
 
 BLOCK = 512  # codes per block; 256-2048 run equally fast
 
 
 class LabelHeadParams:
+    """Attention vectors Q and classifiers (W, b); ``rng`` as for
+    ``init_weight``."""
+
     def __init__(self, num_classes, hidden, rng, dtype=np.float32):
         self.num_classes = num_classes
         self.hidden = hidden
-        self.Q = Tensor(truncated_normal(rng, (num_classes, hidden), dtype=dtype), requires_grad=True)
-        self.W = Tensor(truncated_normal(rng, (num_classes, hidden), dtype=dtype), requires_grad=True)
+        self.Q = Tensor(init_weight(rng, (num_classes, hidden), dtype=dtype), requires_grad=True)
+        self.W = Tensor(init_weight(rng, (num_classes, hidden), dtype=dtype), requires_grad=True)
         self.b = Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True)
 
     def named(self):

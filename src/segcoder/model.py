@@ -113,13 +113,12 @@ class CodingModel:
 
     @classmethod
     def load(cls, directory):
-        with open(os.path.join(directory, CONFIG_NAME), encoding="utf-8") as f:
-            cfg = json.load(f)
+        """The model saved in ``directory``. Its parameters are views of the
+        checkpoint's one blob buffer; nothing is drawn at random."""
+        kind, enc_config, s_max, stride = _read_config(os.path.join(directory, CONFIG_NAME))
         vocab = Vocab.from_file(os.path.join(directory, VOCAB_NAME))
         label_set = LabelSet.from_file(os.path.join(directory, CODES_NAME))
-        model = new_model(cfg["kind"], _config_from_dict(cfg["kind"], cfg["encoder"]),
-                          vocab, label_set, s_max=cfg["s_max"], stride=cfg["stride"],
-                          seed=0)
+        model = _build(kind, enc_config, vocab, label_set, s_max, stride, rng=None)
         arrays = checkpoint.load_tensors(directory)
         named = dict(model.named_parameters())
         if set(arrays) != set(named):
@@ -134,17 +133,47 @@ class CodingModel:
         return model
 
 
-def _config_from_dict(kind, d):
-    if kind == "transformer":
-        return EncoderConfig(**d)
-    return CnnConfig(**d)
+def _read_config(path):
+    """``(kind, encoder config, s_max, stride)`` from a saved config.json.
+    Every fault raises ValueError naming the file and the field."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: {e}") from e
+    _check_fields(path, "", cfg, ("kind", "s_max", "stride", "encoder"))
+    kind = cfg["kind"]
+    if kind not in KINDS:
+        raise ValueError(f"{path}: encoder kind must be one of {KINDS}, got {kind!r}")
+    config_cls = EncoderConfig if kind == "transformer" else CnnConfig
+    fields = [f.name for f in dataclasses.fields(config_cls)]
+    _check_fields(path, "encoder ", cfg["encoder"], fields)
+    try:
+        return kind, config_cls(**cfg["encoder"]), int(cfg["s_max"]), int(cfg["stride"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
+def _check_fields(path, what, obj, expected):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object of {what}fields, got {obj!r}")
+    for fault, names in (("missing", [n for n in expected if n not in obj]),
+                         ("unknown", sorted(set(obj) - set(expected)))):
+        if names:
+            raise ValueError(f"{path}: {fault} {what}field(s) {', '.join(map(repr, names))}")
 
 
 def new_model(kind, enc_config, vocab, label_set, s_max, stride=0, seed=0):
     """Freshly initialized model; all weights drawn from one seeded stream."""
+    return _build(kind, enc_config, vocab, label_set, s_max, stride,
+                  np.random.default_rng(seed))
+
+
+def _build(kind, enc_config, vocab, label_set, s_max, stride, rng):
+    """A model whose weights come from ``rng``, or are left uninitialised
+    for a checkpoint to fill when ``rng`` is None."""
     if len(label_set) == 0:
         raise ValueError("label set is empty; training needs at least one code")
-    rng = np.random.default_rng(seed)
     if kind == "transformer":
         if len(vocab) != enc_config.vocab_size:
             enc_config = dataclasses.replace(enc_config, vocab_size=len(vocab))

@@ -22,11 +22,13 @@ class Vocab:
         self.tokens = list(tokens)
         if not self.tokens:
             raise ValueError("empty vocabulary")
-        self.token_to_id = {}
-        for i, tok in enumerate(self.tokens):
-            if tok in self.token_to_id:
-                raise ValueError(f"duplicate vocabulary token {tok!r}")
-            self.token_to_id[tok] = i
+        self.token_to_id = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self.token_to_id) != len(self.tokens):
+            seen = set()
+            for tok in self.tokens:
+                if tok in seen:
+                    raise ValueError(f"duplicate vocabulary token {tok!r}")
+                seen.add(tok)
         if self.tokens[0] != PAD_TOKEN:
             raise ValueError(f"vocabulary must place {PAD_TOKEN} at id 0")
         if UNK_TOKEN not in self.token_to_id:

@@ -70,14 +70,23 @@ def truncated_normal(rng, shape, std=INIT_STD, dtype=np.float32):
     return (out * std).astype(dtype)
 
 
+def init_weight(rng, shape, dtype=np.float32):
+    """Truncated-normal weights drawn from ``rng``; with ``rng=None``, an
+    uninitialised array that draws nothing, for a checkpoint to fill."""
+    if rng is None:
+        return np.empty(shape, dtype=dtype)
+    return truncated_normal(rng, shape, dtype=dtype)
+
+
 class EncoderParams:
-    """All weight tensors of the encoder, in a fixed named order."""
+    """All weight tensors of the encoder, in a fixed named order; ``rng``
+    as for ``init_weight``."""
 
     def __init__(self, config, rng, dtype=np.float32):
         d, i = config.hidden, config.intermediate
 
         def param(shape):
-            return Tensor(truncated_normal(rng, shape, dtype=dtype), requires_grad=True)
+            return Tensor(init_weight(rng, shape, dtype=dtype), requires_grad=True)
 
         def ones(shape):
             return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)

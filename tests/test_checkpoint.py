@@ -1,7 +1,14 @@
 """Checkpoint round trips: manifest + flat little-endian float32 blob."""
 
+import re
+import tempfile
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segcoder.checkpoint import BLOB_NAME, MANIFEST_NAME, load_tensors, save_tensors
 
@@ -92,3 +99,66 @@ def test_duplicate_name_rejected(tmp_path):
         load_tensors(tmp_path)
     msg = str(exc.value)
     assert f"{tmp_path / MANIFEST_NAME}:2:" in msg and "duplicate" in msg and "'a'" in msg
+
+
+def test_overlapping_tensors_rejected(tmp_path):
+    # as views of one buffer, an update of 'b' would silently change 'a'
+    save_tensors(tmp_path, [("a", np.zeros(4, dtype=np.float32))])
+    (tmp_path / MANIFEST_NAME).write_text("a\t4\t0\nb\t2\t8\n")
+    with pytest.raises(ValueError) as exc:
+        load_tensors(tmp_path)
+    msg = str(exc.value)
+    assert msg.startswith(f"{tmp_path / MANIFEST_NAME}:2: tensor 'b' overlaps 'a'")
+    assert "[8, 16)" in msg and "[0, 16)" in msg
+
+
+def test_loaded_tensors_are_disjoint_writable_views(tmp_path, rng):
+    save_tensors(tmp_path, [("a", rng.normal(size=(3, 2)).astype(np.float32)),
+                            ("empty", np.zeros((0, 4), dtype=np.float32)),
+                            ("b", rng.normal(size=5).astype(np.float32))])
+    loaded = load_tensors(tmp_path)
+    for arr in loaded.values():
+        assert arr.dtype == np.float32 and arr.flags.writeable and arr.flags.c_contiguous
+    for x, y in combinations(loaded.values(), 2):
+        assert not np.shares_memory(x, y)
+    loaded["a"] += 1.0  # in place: a writable view, and 'b' does not move
+    assert np.array_equal(loaded["b"], load_tensors(tmp_path)["b"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(st.sampled_from(["", "0", "1", "3", "0,2", "2,2", "1,3"]),
+                                  st.integers(-1, 11).map(lambda k: 4 * k) | st.integers(0, 47)),
+                        min_size=1, max_size=4),
+       fault=st.integers(0, 5), blob=st.binary(min_size=48, max_size=48),
+       cut=st.none() | st.integers(0, 48))
+def test_load_outcome_is_located_error_or_disjoint_views(entries, fault, blob, cut):
+    """Random manifests over a random, maybe truncated, blob: a ValueError at
+    a manifest line, or disjoint views equal to the blob's bytes."""
+    lines = [[f"t{i}", dims, str(off)] for i, (dims, off) in enumerate(entries)]
+    if fault == 1:
+        lines[-1][0] = "t0"    # a duplicate name, given two lines or more
+    elif fault == 2:
+        lines[-1][1] = "x"     # a malformed shape
+    elif fault == 3:
+        lines[-1][1] = "-1,2"  # a negative dimension
+    blob = blob[:cut]          # a truncated blob, or the whole one for cut=None
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        manifest = d / MANIFEST_NAME
+        manifest.write_text("".join("\t".join(line) + "\n" for line in lines))
+        (d / BLOB_NAME).write_bytes(blob)
+        try:
+            loaded = load_tensors(d)
+        except ValueError as e:
+            m = re.match(rf"{re.escape(str(manifest))}:(\d+): ", str(e))
+            assert m and 1 <= int(m.group(1)) <= len(lines), str(e)
+            return
+    assert list(loaded) == [name for name, _, _ in lines]
+    for name, dims, off in lines:
+        arr, off = loaded[name], int(off)
+        assert arr.dtype == np.float32 and arr.flags.writeable
+        assert arr.shape == (tuple(int(n) for n in dims.split(",")) if dims else ())
+        assert 0 <= off and off + arr.nbytes <= len(blob)
+        assert arr.tobytes() == blob[off:off + arr.nbytes]
+    for x, y in combinations(loaded.values(), 2):
+        assert not np.shares_memory(x, y)

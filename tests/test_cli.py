@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, config layering."""
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -256,6 +258,26 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(checkpoint_dir),
                    "--text", "w00001", "--top-n", "0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda cfg: cfg["encoder"].update(extra_field=1),
+         "unknown encoder field(s) 'extra_field'"),
+        (lambda cfg: cfg.pop("kind"), "missing field(s) 'kind'"),
+        (lambda cfg: cfg.update(kind="rnn"), "got 'rnn'"),
+        (lambda cfg: cfg["encoder"].update(heads=3), "not divisible by heads 3"),
+    ], ids=["extra-key", "missing-key", "unknown-kind", "invalid-value"])
+    def test_config_fault_is_located(self, checkpoint_dir, tmp_path, capsys,
+                                     edit, named):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(checkpoint_dir, ckpt)
+        path = ckpt / "config.json"
+        cfg = json.loads(path.read_text())
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        rc = main(["predict", "--checkpoint", str(ckpt), "--text", "w00001"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: {path}: ") and named in err
 
 
 class TestStats:

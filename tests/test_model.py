@@ -1,13 +1,18 @@
 """End-to-end model wrapper: dispatch, persistence, ranking."""
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import segcoder.model as model_mod
+import segcoder.transformer as transformer_mod
 from segcoder import kernels
 from segcoder.cnn import CnnConfig
 from segcoder.corpus import LabelSet
 from segcoder.model import CodingModel, new_model
+from segcoder.optim import init_adam, step_with_grads
 from segcoder.tensor import Tensor, add, mul, no_grad, tensor_sum
 from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
 from segcoder.transformer import EncoderConfig
@@ -59,6 +64,19 @@ class TestConstruction:
         a, b = transformer_model(seed=5), transformer_model(seed=5)
         for (name, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(ta.data, tb.data), name
+
+    @pytest.mark.parametrize("factory, seed, digest", [
+        (transformer_model, 0,
+         "f260d703966caa776ffcc289b7c83fcee18b262c6584c6db128cf63c2c88c863"),
+        (cnn_model, 5,
+         "404d622890892949be1a256e0727d012d6a713d58bf338dfae57aa84e8888ea2"),
+    ])
+    def test_fresh_weights_pinned(self, factory, seed, digest):
+        # the draws of a fresh model, in order, as they have always been
+        h = hashlib.sha256()
+        for _, t in factory(seed=seed).named_parameters():
+            h.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestPrediction:
@@ -170,6 +188,43 @@ class TestPersistence:
         manifest.write_text("".join(l for l in lines if not l.startswith("head.b")))
         with pytest.raises(ValueError, match="head.b"):
             CodingModel.load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("factory", [transformer_model, cnn_model])
+    def test_load_draws_nothing(self, factory, tmp_path, monkeypatch):
+        model = factory()
+        text = "t0 t1 t2 t3 t4"
+        before = text_probs(model, text)
+        model.save(tmp_path / "ckpt")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load drew random numbers")
+
+        monkeypatch.setattr(transformer_mod, "truncated_normal", no_draws)
+        monkeypatch.setattr(model_mod.np.random, "default_rng", no_draws)
+        after = text_probs(CodingModel.load(tmp_path / "ckpt"), text)
+        assert np.array_equal(before.view(np.uint32), after.view(np.uint32))
+
+    @pytest.mark.parametrize("factory", [transformer_model, cnn_model])
+    def test_loaded_parameters_own_disjoint_memory(self, factory, tmp_path):
+        model = factory()
+        model.save(tmp_path / "ckpt")
+        reloaded = CodingModel.load(tmp_path / "ckpt")
+        data = [t.data for t in reloaded.parameters()]
+        for arr in data:
+            assert arr.dtype == np.float32
+            assert arr.flags.writeable and arr.flags.c_contiguous
+        for a, b in combinations(data, 2):
+            assert not np.shares_memory(a, b)
+
+        # one Adam step on each gives the same weights, bit for bit
+        seq = model.token_sequence("t0 t1 t2 t3 t4 t5 t6 t7 t0 t1")
+        for m in (model, reloaded):
+            params = m.parameters()
+            state = init_adam(params, lr=1e-2)
+            tensor_sum(m.probs([seq])).backward()
+            step_with_grads(params, state)
+        for (name, a), (_, b) in zip(model.named_parameters(), reloaded.named_parameters()):
+            assert np.array_equal(a.data.view(np.uint32), b.data.view(np.uint32)), name
 
 
 class TestBatchedEncoding:

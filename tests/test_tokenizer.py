@@ -28,6 +28,10 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab([PAD_TOKEN, UNK_TOKEN, "a", "a"])
 
+    def test_first_duplicate_is_named(self):
+        with pytest.raises(ValueError, match="duplicate vocabulary token 'x'"):
+            Vocab([PAD_TOKEN, UNK_TOKEN, "x", "y", "x", "y"])
+
     def test_file_round_trip(self, tmp_path):
         v = toy_vocab(["extra"])
         path = tmp_path / "vocab.txt"
