@@ -62,9 +62,6 @@ class CnnParams:
     def tensors(self):
         return [t for _, t in self.named()]
 
-    def scalar_count(self):
-        return sum(t.data.size for t in self.tensors())
-
 
 def build_word_vocab(texts, min_freq=WORD_MIN_FREQ):
     """Word vocabulary from training texts: [PAD], [UNK], then all

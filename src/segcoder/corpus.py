@@ -45,9 +45,6 @@ class LabelSet:
     def __contains__(self, code):
         return code in self.code_to_index
 
-    def index(self, code):
-        return self.code_to_index[code]
-
     def indices_for(self, codes):
         """Sorted unique label indices for one note's code list."""
         try:
@@ -74,10 +71,15 @@ def _note_from_json(obj, where):
     for key in ("note_id", "text", "codes"):
         if key not in obj:
             raise ValueError(f"{where}: missing field {key!r}")
-    if not isinstance(obj["codes"], list):
+    text, codes = obj["text"], obj["codes"]
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: field 'text' must be a string, got {text!r:.40}")
+    if not isinstance(codes, list):
         raise ValueError(f"{where}: field 'codes' must be an array")
-    return Note(note_id=str(obj["note_id"]), text=str(obj["text"]),
-                codes=[str(c) for c in obj["codes"]])
+    for c in codes:
+        if not isinstance(c, str):
+            raise ValueError(f"{where}: field 'codes' must hold strings, got {c!r:.40}")
+    return Note(note_id=str(obj["note_id"]), text=text, codes=codes)
 
 
 def load_notes(path):

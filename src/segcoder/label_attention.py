@@ -62,7 +62,7 @@ def attention_weights(E, q_c):
     _require_tokens(E)
     s, d = E.data.shape
     scores = reshape(matmul(E, reshape(q_c, (d, 1))), (1, s))
-    return reshape(softmax(scores, axis=-1), (s,))
+    return reshape(softmax(scores), (s,))
 
 
 def label_logits(E, Q, W, b):

@@ -54,20 +54,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def item(self):
-        return float(self.data.reshape(()))
-
     def _accum(self, g, upstream):
         """Add gradient ``g``, computed from ``upstream``, into ``self.grad``.
 
@@ -147,41 +133,6 @@ class Tensor:
             node._backward = _released
             node._parents = ()
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis)
-
 
 def _released(g):
     raise RuntimeError(
@@ -237,10 +188,6 @@ def mul(a, b):
                             g * a.data if b.requires_grad else None))
 
 
-def neg(a):
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def sub(a, b):
     a, b = _coerce_pair(a, b)
     return _make(a.data - b.data, (a, b),
@@ -274,11 +221,6 @@ def tensor_sum(a, axis=None):
     return _make(np.sum(a.data, axis=axis, keepdims=False), (a,), backward)
 
 
-def tensor_mean(a, axis=None):
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis), 1.0 / n)
-
-
 def log(a):
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
@@ -304,24 +246,15 @@ def gelu(a):
                  lambda g: (kernels.active.gelu_bwd(g, a.data),))
 
 
-def softmax(a, axis=-1):
-    """Numerically stable softmax along ``axis`` (max-subtraction)."""
-    ax = axis % a.data.ndim
-    last = a.data.ndim - 1
-    x = a.data if ax == last else np.moveaxis(a.data, ax, -1)
-    n = x.shape[-1]
-    x2 = np.ascontiguousarray(x.reshape(-1, n))
-    y2 = kernels.active.softmax_fwd(x2)
-    y = y2.reshape(x.shape)
-    if ax != last:
-        y = np.moveaxis(y, -1, ax)
+def softmax(a):
+    """Numerically stable softmax over the last axis (max-subtraction)."""
+    shape, n = a.data.shape, a.data.shape[-1]
+    y2 = kernels.active.softmax_fwd(np.ascontiguousarray(a.data.reshape(-1, n)))
 
     def backward(g):
-        if ax != last:
-            g = np.moveaxis(g, ax, -1)
-        dx = kernels.active.softmax_bwd(np.ascontiguousarray(g.reshape(-1, n)), y2).reshape(x.shape)
-        return (dx if ax == last else np.moveaxis(dx, -1, ax),)
-    return _make(y, (a,), backward)
+        dx2 = kernels.active.softmax_bwd(np.ascontiguousarray(g.reshape(-1, n)), y2)
+        return (dx2.reshape(shape),)
+    return _make(y2.reshape(shape), (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):

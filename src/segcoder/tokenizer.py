@@ -138,18 +138,6 @@ def tokenize(text, vocab):
     return TokenSequence(ids=np.asarray(ids, dtype=np.int64), s=len(ids))
 
 
-def detokenize(ids, vocab):
-    """Inverse of tokenize for in-vocab words: strip ``##``, join on space."""
-    words = []
-    for i in ids:
-        tok = vocab.tokens[int(i)]
-        if tok.startswith("##") and words:
-            words[-1] += tok[2:]
-        else:
-            words.append(tok)
-    return " ".join(words)
-
-
 def truncate(seq, s_max):
     """First ``s_max`` tokens; a no-op when the sequence already fits."""
     if seq.s <= s_max and len(seq.ids) <= s_max:

@@ -3,6 +3,7 @@ over the batch, Adam updates, periodic validation with threshold grid
 search, and best-checkpoint retention by validation micro F1.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -27,6 +28,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 0:

@@ -140,9 +140,6 @@ class EncoderParams:
     def tensors(self):
         return [t for _, t in self.named()]
 
-    def scalar_count(self):
-        return sum(t.data.size for t in self.tensors())
-
 
 def count_parameters(config):
     """Exact scalar count of an EncoderParams allocation for ``config``."""
@@ -198,7 +195,7 @@ def encode_segment(params, config, segment_ids, pad_mask):
         v = split_heads(_linear(x, blk["v_w"], blk["v_b"]))
         scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
         scores = mask_fill(scores, key_mask)
-        attn = softmax(scores, axis=-1)
+        attn = softmax(scores)
         ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (w * n, d))
         x = layer_norm(
             add(x, _linear(ctx, blk["o_w"], blk["o_b"])),

@@ -17,7 +17,7 @@ import pytest
 from segcoder.cnn import encode_cnn
 from segcoder.label_attention import predict
 from segcoder.segments import encode_long, plan_segments
-from segcoder.tensor import Tensor, add, clamp, log, mul, neg, no_grad, sub, tensor_sum
+from segcoder.tensor import Tensor, add, clamp, log, mul, no_grad, sub, tensor_sum
 from segcoder.tokenizer import pad_to_multiple, truncate
 from segcoder.transformer import encode_segment
 
@@ -114,7 +114,7 @@ def per_note_bce(probs, indices):
     y = Tensor(dense)
     one = Tensor(np.ones_like(p.data))
     ll = add(mul(y, log(p)), mul(sub(one, y), log(sub(one, p))))
-    return neg(tensor_sum(ll))
+    return mul(tensor_sum(ll), -1.0)
 
 
 def per_note_batch_loss(model, batch):

@@ -137,6 +137,19 @@ class TestTrain:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("lr", ["nan", "-1.0"])
+    def test_bad_lr_is_usage_error(self, corpus_dir, tmp_path, capsys, lr):
+        rc = main([
+            "train", "--corpus", str(corpus_dir / "train.jsonl"),
+            "--val", str(corpus_dir / "val.jsonl"),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+            "--out-dir", str(tmp_path), "--max-steps", "2", "--eval-every", "2",
+            "--lr", lr,
+        ])
+        assert rc == 2
+        assert "lr must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.tsv").exists()
+
     def test_code_outside_codes_file_names_note(self, corpus_dir, tmp_path, capsys):
         train = (corpus_dir / "train.jsonl").read_text()
         assert '"C0003"' in train

@@ -191,6 +191,6 @@ class TestGradients:
         names = [n for n, _ in params.named()] + [n for n, _ in head.named()]
 
         def loss():
-            return tensor_sum(predict(encode_cnn(params, config, ids), head) * Tensor(w))
+            return tensor_sum(mul(predict(encode_cnn(params, config, ids), head), Tensor(w)))
 
         param_gradcheck(tensors, loss, rtol=1e-3, names=names)

@@ -33,7 +33,7 @@ class TestLabelSet:
     def test_lexicographic_indices(self):
         ls = LabelSet(["B", "A"])
         assert len(ls) == 2
-        assert ls.index("A") == 0 and ls.index("B") == 1
+        assert ls.code_to_index == {"A": 0, "B": 1}
 
     def test_deduplication(self):
         ls = LabelSet(["X", "X", "Y"])
@@ -91,7 +91,7 @@ class TestNotesIO:
             '{"note_id": "2", "text": "y", "codes": ["A"]}\n')
         _, label_set = load_corpus(path)
         assert len(label_set) == 2
-        assert label_set.index("A") == 0 and label_set.index("B") == 1
+        assert label_set.code_to_index == {"A": 0, "B": 1}
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -109,6 +109,20 @@ class TestNotesIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"note_id": "1", "text": "x", "codes": "A"}\n')
         with pytest.raises(ValueError, match="array"):
+            load_notes(path)
+
+    @pytest.mark.parametrize("row,field", [
+        ('"text": null, "codes": []', "text"),
+        ('"text": 7, "codes": []', "text"),
+        ('"text": "x", "codes": ["A", 250.00]', "codes"),
+        ('"text": "x", "codes": [null]', "codes"),
+    ])
+    def test_non_string_text_or_code_names_line_and_field(self, tmp_path, row, field):
+        # a null text is no note "None", and the number 250.00 no code "250.0"
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"note_id": "1", "text": "x", "codes": []}\n'
+                        '{"note_id": "2", ' + row + '}\n')
+        with pytest.raises(ValueError, match=rf"bad\.jsonl:2: field '{field}'"):
             load_notes(path)
 
     def test_duplicate_note_id_rejected(self, tmp_path):

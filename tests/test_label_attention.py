@@ -25,7 +25,7 @@ def unfused_predict(E, head):
     """Reference oracle: the head as a composition of generic ops, which
     builds and keeps the full [K, s] scores and weights."""
     scores = transpose(matmul(E, transpose(head.Q)))          # [K, s]
-    alpha = softmax(scores, axis=-1)
+    alpha = softmax(scores)
     z = matmul(alpha, E)                                      # [K, d]
     return sigmoid(add(tensor_sum(mul(z, head.W), axis=1), head.b))
 
@@ -214,7 +214,7 @@ class TestGradients:
         names = ["E", "Q", "W", "b"]
 
         def loss():
-            return tensor_sum(predict(E, head) * Tensor(w))
+            return tensor_sum(mul(predict(E, head), Tensor(w)))
 
         param_gradcheck(params, loss, rtol=1e-4, names=names)
 
@@ -224,7 +224,7 @@ class TestGradients:
         w = rng.normal(size=4)
 
         def loss():
-            return tensor_sum(attention_weights(E, q) * Tensor(w))
+            return tensor_sum(mul(attention_weights(E, q), Tensor(w)))
 
         param_gradcheck([E, q], loss, rtol=1e-4, names=["E", "q"])
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import param_gradcheck
 from segcoder.segments import encode_long, plan_segments
@@ -52,6 +54,16 @@ def encode_long_oracle(encoder, seq, plan):
     return slice_rows(concat_rows(pieces), 0, seq.s)
 
 
+@st.composite
+def plan_shapes(draw):
+    """(padded_len, seg_len, stride) that plan_segments accepts."""
+    seg = draw(st.integers(1, 48))
+    stride = draw(st.integers(0, seg - 1))
+    if stride == 0:
+        return seg * draw(st.integers(1, 8)), seg, stride
+    return draw(st.integers(seg, 8 * seg)), seg, stride
+
+
 class TestPlanSegments:
     def test_disjoint_two_windows(self):
         plan = plan_segments(1024, 512, stride=0)
@@ -80,14 +92,28 @@ class TestPlanSegments:
         ranges = owned_ranges(plan)
         assert ranges[0][0] == 0 and ranges[-1][1] == 10
 
-    def test_every_position_owned_exactly_once(self):
-        for padded, seg, stride in ((12, 4, 0), (20, 5, 2), (16, 8, 3), (9, 4, 1)):
-            plan = plan_segments(padded, seg, stride)
-            covered = np.zeros(padded, dtype=int)
-            for i, (lo, hi) in enumerate(owned_ranges(plan)):
-                covered[lo:hi] += 1
-                assert np.all(plan.owner[lo:hi] == i)
-            assert np.all(covered == 1)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=plan_shapes())
+    @example(shape=(12, 4, 0))
+    @example(shape=(20, 5, 2))
+    @example(shape=(16, 8, 3))
+    @example(shape=(9, 4, 1))
+    def test_every_position_owned_exactly_once(self, shape):
+        padded, seg, stride = shape
+        plan = plan_segments(padded, seg, stride)
+        assert plan.owner.shape == (padded,)
+        covered = np.zeros(padded, dtype=int)
+        for i, (lo, hi) in enumerate(owned_ranges(plan)):
+            covered[lo:hi] += 1
+            assert np.all(plan.owner[lo:hi] == i)
+        assert np.all(covered == 1)
+        for p in range(padded):
+            containing = [i for i, (lo, hi) in enumerate(plan.segments) if lo <= p < hi]
+            lo, hi = plan.segments[plan.owner[p]]
+            assert lo <= p < hi
+            # nearest centre among the containing windows; ties to the earlier
+            nearest = min(containing, key=lambda i: (abs(p - sum(plan.segments[i]) / 2), i))
+            assert plan.owner[p] == nearest
 
     def test_invalid_stride(self):
         with pytest.raises(ValueError):

@@ -13,9 +13,9 @@ import segcoder
 from conftest import fd_gradients, gradcheck
 from segcoder.tensor import (MASK_FILL_VALUE, Tensor, add, clamp, concat_rows,
                              embedding_gather, gelu, layer_norm, log,
-                             mask_fill, matmul, mul, neg, no_grad, reshape,
+                             mask_fill, matmul, mul, no_grad, reshape,
                              sigmoid, slice_rows, softmax, sub, tanh,
-                             tensor_mean, tensor_sum, transpose, unfold_rows)
+                             tensor_sum, transpose, unfold_rows)
 
 SEEDS = range(20)
 
@@ -314,16 +314,37 @@ def test_only_tensor_accumulates_gradients():
     assert offenders == []
 
 
+def test_tensor_module_keeps_only_what_the_package_runs():
+    # every public op has a caller elsewhere in the package, and Tensor has
+    # no operator sugar: the model composes the functional ops
+    package = Path(segcoder.__file__).parent
+    tree = ast.parse((package / "tensor.py").read_text(encoding="utf-8"))
+    public = {n.name for n in tree.body
+              if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    imported = set()
+    for path in package.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "segcoder.tensor"):
+                imported.update(alias.name for alias in node.names)
+    assert sorted(public - imported) == []
+
+    binary = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow")
+    dunders = [f"__{p}{op}__" for op in binary for p in ("", "r", "i")]
+    dunders += ["__neg__", "__pos__", "__abs__"]
+    assert [d for d in dunders if hasattr(Tensor, d)] == []
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_add_mul_sub_neg(self, seed):
+    def test_add_mul_sub(self, seed):
         r = np.random.default_rng(seed)
         a, b = r.normal(size=(3, 4)), r.normal(size=(3, 4))
         w = r.normal(size=(3, 4))
         gradcheck(lambda x, y: weighted(add(x, y), w), [a, b])
         gradcheck(lambda x, y: weighted(mul(x, y), w), [a, b])
         gradcheck(lambda x, y: weighted(sub(x, y), w), [a, b])
-        gradcheck(lambda x: weighted(neg(x), w), [a])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_broadcast_add_mul(self, seed):
@@ -372,13 +393,6 @@ class TestGradients:
         gradcheck(lambda t: weighted(softmax(t), w), [x])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_softmax_other_axis(self, seed):
-        r = np.random.default_rng(seed)
-        x = r.normal(size=(4, 3)) * 2
-        w = r.normal(size=(4, 3))
-        gradcheck(lambda t: weighted(softmax(t, axis=0), w), [x])
-
-    @pytest.mark.parametrize("seed", SEEDS)
     def test_layer_norm(self, seed):
         r = np.random.default_rng(seed)
         x = r.normal(size=(3, 5))
@@ -416,7 +430,6 @@ class TestGradients:
         w2 = r.normal(size=(4, 3))
         gradcheck(lambda t: weighted(transpose(t), w2), [x])
         gradcheck(lambda t: tensor_sum(t), [x])
-        gradcheck(lambda t: tensor_mean(t), [x])
         w3 = r.normal(size=(4,))
         gradcheck(lambda t: weighted(tensor_sum(t, axis=0), w3), [x])
 

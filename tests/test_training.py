@@ -66,6 +66,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(eval_every=0).validate()
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_non_finite_or_non_positive_lr(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr).validate()
+
     def test_zero_steps_allowed(self):
         TrainConfig(max_steps=0, eval_every=100).validate()
 
