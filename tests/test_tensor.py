@@ -393,6 +393,17 @@ class TestGradients:
         gradcheck(lambda t: weighted(softmax(t), w), [x])
 
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_masked_softmax_over_attention_scores(self, seed):
+        # the attention path: [windows, heads, queries, keys] scores with
+        # padded keys filled, then a softmax over every leading-axis row
+        r = np.random.default_rng(seed)
+        x = r.normal(size=(2, 3, 4, 5)) * 2
+        key_mask = r.random(size=(2, 1, 1, 5)) < 0.4
+        key_mask[..., 0] = False  # every row keeps a real key
+        w = r.normal(size=(2, 3, 4, 5))
+        gradcheck(lambda t: weighted(softmax(mask_fill(t, key_mask)), w), [x])
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_layer_norm(self, seed):
         r = np.random.default_rng(seed)
         x = r.normal(size=(3, 5))
