@@ -233,10 +233,14 @@ def cmd_eval(opt):
     model = CodingModel.load(ckpt)
     if opt["codes"]:
         given = LabelSet.from_file(_require_file(opt, "codes", "--codes"))
-        if len(given) != model.num_classes:
+        if given.codes != model.label_set.codes:
+            extra = [c for c in given.codes if c not in model.label_set]
+            missing = [c for c in model.label_set.codes if c not in given]
+            first = (f"--codes lists {extra[0]!r}, which the checkpoint lacks" if extra
+                     else f"the checkpoint has {missing[0]!r}, which --codes lacks")
             raise ValueError(
                 f"label-space mismatch: --codes has K={len(given)}, "
-                f"checkpoint has K={model.num_classes}")
+                f"checkpoint has K={model.num_classes}; {first}")
     threshold = opt["threshold"]
     if threshold == OPTIONS["eval"]["threshold"]:  # unset: search on --val
         if not opt["val"]:

@@ -71,7 +71,9 @@ def _note_from_json(obj, where):
     for key in ("note_id", "text", "codes"):
         if key not in obj:
             raise ValueError(f"{where}: missing field {key!r}")
-    text, codes = obj["text"], obj["codes"]
+    note_id, text, codes = obj["note_id"], obj["text"], obj["codes"]
+    if not isinstance(note_id, str):
+        raise ValueError(f"{where}: field 'note_id' must be a string, got {note_id!r:.40}")
     if not isinstance(text, str):
         raise ValueError(f"{where}: field 'text' must be a string, got {text!r:.40}")
     if not isinstance(codes, list):
@@ -79,7 +81,7 @@ def _note_from_json(obj, where):
     for c in codes:
         if not isinstance(c, str):
             raise ValueError(f"{where}: field 'codes' must hold strings, got {c!r:.40}")
-    return Note(note_id=str(obj["note_id"]), text=text, codes=codes)
+    return Note(note_id=note_id, text=text, codes=codes)
 
 
 def load_notes(path):

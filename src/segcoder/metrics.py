@@ -1,6 +1,6 @@
 """Micro-averaged evaluation over (note, code) pairs: confusion counts at a
 threshold, F1 with validation grid search, and threshold-free PR-AUC /
-ROC-AUC computed in one streaming sweep over sorted scores.
+ROC-AUC, all read off one sorted sweep of the scores.
 
 All metrics flatten the prediction matrix so every (note, code) pair is one
 instance. A prediction is positive when its probability is >= the threshold
@@ -28,52 +28,74 @@ def label_matrix(sparse_labels, num_classes):
 class PredictionSet:
     """Per-note probability vectors plus sparse ground-truth label indices.
 
-    ``probs`` and ``labels`` are read-only, so the ranked curve the AUCs
-    share is sorted once per score matrix; assigning a new ``probs``
-    starts a fresh curve.
+    ``probs`` and ``labels`` are read-only and fixed at construction, so the
+    curve every metric reads is sorted once per set.
     """
 
     def __init__(self, probs, sparse_labels):
-        probs = np.asarray(probs, dtype=np.float64)
+        probs = np.asarray(probs, dtype=np.float64).view()
         if probs.ndim != 2:
             raise ValueError(f"probs must be [notes, K], got shape {probs.shape}")
+        if probs.size == 0:
+            raise ValueError(f"probs has no (note, code) pairs, got shape {probs.shape}")
         if len(sparse_labels) != probs.shape[0]:
             raise ValueError("one label list per note is required")
         self.num_notes, self.num_classes = probs.shape
+        probs.flags.writeable = False
+        self._probs = probs
         self.labels = label_matrix(sparse_labels, self.num_classes)
         self.labels.flags.writeable = False
-        self.probs = probs
+        self._curve = None
 
     @property
     def probs(self):
         return self._probs
 
-    @probs.setter
-    def probs(self, value):
-        self._probs = np.asarray(value, dtype=np.float64).view()
-        self._probs.flags.writeable = False
-        self._curve = None
-
     def flat(self):
         return self.probs.reshape(-1), self.labels.reshape(-1)
 
     def curve(self):
-        """``_sweep`` of this set: sorted on first use, then shared by
-        ``pr_auc`` and ``roc_auc``."""
+        """``_sweep`` of this set, sorted on first use."""
         if self._curve is None:
             self._curve = _sweep(self)
         return self._curve
 
 
+def _sweep(preds):
+    """The ranked curve: (neg_scores, tp, fp, n_pos, n_neg).
+
+    ``neg_scores`` holds the negated distinct scores in ascending order, and
+    ``tp[i]``/``fp[i]`` count the positive/negative pairs scoring >= the
+    i-th distinct score from the top, after a (0, 0) anchor at index 0. Ties
+    share one curve point, which makes trapezoidal ROC-AUC equal the
+    pairwise rank statistic with ties counted one half. Each point is read
+    at the last index of its tie run, so the sort need not be stable.
+    """
+    scores, y = preds.flat()
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    neg = -scores
+    order = np.argsort(neg)
+    s = neg[order]
+    last = np.concatenate([np.nonzero(np.diff(s))[0], [s.size - 1]])
+    tp = np.concatenate([[0], np.cumsum(y[order], dtype=np.int64)[last]])
+    fp = np.concatenate([[0], last + 1]) - tp
+    return s[last], tp, fp, n_pos, n_neg
+
+
+def _counts_at(preds, thresholds):
+    """(tp, fp, fn, tn) arrays, one entry per threshold, read off the curve
+    with one ``searchsorted``: side="right" over the negated scores counts
+    the distinct scores >= t, which keeps the closed lower bound."""
+    neg_scores, tp, fp, n_pos, n_neg = preds.curve()
+    i = np.searchsorted(neg_scores, -np.asarray(thresholds, dtype=np.float64), side="right")
+    tp, fp = tp[i], fp[i]
+    return tp, fp, n_pos - tp, n_neg - fp
+
+
 def confusion_at(preds, threshold):
     """(TP, FP, FN, TN) pooled over all (note, code) pairs."""
-    scores, y = preds.flat()
-    pos = scores >= threshold
-    tp = int(np.sum(pos & y))
-    fp = int(np.sum(pos & ~y))
-    fn = int(np.sum(~pos & y))
-    tn = int(np.sum(~pos & ~y))
-    return tp, fp, fn, tn
+    return tuple(int(c[0]) for c in _counts_at(preds, [threshold]))
 
 
 def precision_recall_f1(tp, fp, fn):
@@ -94,74 +116,35 @@ def default_grid():
 
 def best_threshold(preds, grid=None):
     """Grid point maximizing micro F1; ties resolve to the smallest
-    threshold (strictly-greater update over an ascending scan).
-
-    The scores are sorted once; the count of scores >= t at every grid
-    point is then read with ``searchsorted`` (left side keeps the closed
-    lower bound), instead of one full confusion pass per grid point.
-    """
+    threshold. The counts at every grid point come off the set's curve."""
     if grid is None:
         grid = default_grid()
     if not len(grid):
         raise ValueError("threshold grid must be non-empty")
-    grid = sorted(grid)
-    scores, y = preds.flat()
-    ranked, ranked_pos = np.sort(scores), np.sort(scores[y])
-    t = np.asarray(grid, dtype=np.float64)
-    tp = ranked_pos.size - np.searchsorted(ranked_pos, t, side="left")
-    fp = ranked.size - np.searchsorted(ranked, t, side="left") - tp
-    fn = ranked_pos.size - tp
-    best_t, best_f1 = None, -1.0
-    for threshold, *counts in zip(grid, tp.tolist(), fp.tolist(), fn.tolist()):
-        f1 = micro_f1(*counts)
-        if f1 > best_f1:
-            best_t, best_f1 = threshold, f1
-    return best_t, best_f1
-
-
-def _sweep(preds):
-    """Cumulative (tp, fp) after each distinct score, descending.
-
-    Returns (tp_cum, fp_cum, n_pos, n_neg); ties share one curve point,
-    which makes trapezoidal ROC-AUC equal the pairwise rank statistic with
-    ties counted one half. Each point is read at the last index of its tie
-    run, so the order within a tie is never read and the sort need not be
-    stable.
-    """
-    scores, y = preds.flat()
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    order = np.argsort(-scores)
-    s = scores[order]
-    yy = y[order].astype(np.int64)
-    boundary = np.nonzero(np.diff(s))[0]
-    last = np.concatenate([boundary, [s.size - 1]])
-    tp_cum = np.cumsum(yy)[last]
-    fp_cum = (last + 1) - tp_cum
-    return tp_cum, fp_cum, n_pos, n_neg
+    tp, fp, fn, _ = _counts_at(preds, grid)
+    f1s = [micro_f1(*counts) for counts in zip(tp.tolist(), fp.tolist(), fn.tolist())]
+    best_f1 = max(f1s)
+    return min(t for t, f1 in zip(grid, f1s) if f1 == best_f1), best_f1
 
 
 def roc_auc(preds):
     """Trapezoidal area under (FPR, TPR), anchored at (0, 0); None when a
     class is empty."""
-    tp, fp, n_pos, n_neg = preds.curve()
+    _, tp, fp, n_pos, n_neg = preds.curve()
     if n_pos == 0 or n_neg == 0:
         return None
-    tpr = np.concatenate([[0.0], tp / n_pos])
-    fpr = np.concatenate([[0.0], fp / n_neg])
-    return float(np.trapezoid(tpr, fpr))
+    return float(np.trapezoid(tp / n_pos, fp / n_neg))
 
 
 def pr_auc(preds):
     """Trapezoidal area under (recall, precision) across all distinct score
     thresholds, anchored at recall 0 with precision 1; None when a class is
     empty."""
-    tp, fp, n_pos, n_neg = preds.curve()
+    _, tp, fp, n_pos, n_neg = preds.curve()
     if n_pos == 0 or n_neg == 0:
         return None
-    recall = np.concatenate([[0.0], tp / n_pos])
-    precision = np.concatenate([[1.0], tp / (tp + fp)])
-    return float(np.trapezoid(precision, recall))
+    precision = np.concatenate([[1.0], tp[1:] / (tp[1:] + fp[1:])])
+    return float(np.trapezoid(precision, tp / n_pos))
 
 
 @dataclass
@@ -179,13 +162,14 @@ class EvalReport:
 
 
 def evaluate(preds, threshold):
-    """Confusion counts and F1 at ``threshold`` plus both AUCs, which share
-    one sort of the scores."""
+    """Confusion counts and F1 at ``threshold`` plus both AUCs, all read off
+    the set's one curve. ``pr_auc`` reads it first, so when no threshold
+    search came before, a profile times the sort under ``pr_auc``."""
+    pr, roc = pr_auc(preds), roc_auc(preds)
     tp, fp, fn, tn = confusion_at(preds, threshold)
     p, r, f1 = precision_recall_f1(tp, fp, fn)
     return EvalReport(threshold=float(threshold), micro_precision=p, micro_recall=r,
-                      micro_f1=f1, pr_auc=pr_auc(preds), roc_auc=roc_auc(preds),
-                      tp=tp, fp=fp, fn=fn, tn=tn)
+                      micro_f1=f1, pr_auc=pr, roc_auc=roc, tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def _fmt(v):

@@ -109,13 +109,13 @@ def predict_probs(model, seqs):
         return model.probs(seqs).data.astype(np.float64)
 
 
-def evaluate_model(model, examples, threshold=None, grid=None):
-    """EvalReport for prepared examples; grid-searches the threshold when
-    none is given."""
+def evaluate_model(model, examples, threshold=None):
+    """EvalReport for prepared examples; searches ``default_grid`` for the
+    threshold when none is given."""
     preds = PredictionSet(predict_probs(model, [s for s, _ in examples]),
                           [i for _, i in examples])
     if threshold is None:
-        threshold, _ = best_threshold(preds, grid)
+        threshold, _ = best_threshold(preds)
     return evaluate(preds, threshold)
 
 

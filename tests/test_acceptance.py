@@ -328,6 +328,7 @@ def _load_splits(paths):
     return out, label_set
 
 
+@pytest.mark.slow
 def test_criterion_6_long_context_effect(tmp_path):
     t0 = time.time()
     paths = generate_synthetic(SyntheticSpec(**LONG_CTX["spec"]), tmp_path / "corpus")
@@ -362,6 +363,7 @@ def test_criterion_6_long_context_effect(tmp_path):
 # 7. CNN baseline trains through the identical harness
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_encoder_comparison(tmp_path):
     t0 = time.time()
     spec = SyntheticSpec(num_codes=20, vocab_size=500, doc_len=(4 * SEG, 4 * SEG),

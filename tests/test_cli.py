@@ -226,6 +226,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert "K=2" in err and "K=4" in err
 
+    @pytest.mark.parametrize("codes,named", [
+        ("X1\nX2\nX3\nX4\n", "--codes lists 'X1', which the checkpoint lacks"),
+        ("C0000\nC0001\nC0002\n", "the checkpoint has 'C0003', which --codes lacks"),
+    ], ids=["same-k", "fewer-codes"])
+    def test_label_space_mismatch_names_first_differing_code(
+            self, corpus_dir, checkpoint_dir, tmp_path, capsys, codes, named):
+        other_codes = tmp_path / "codes.txt"
+        other_codes.write_text(codes)
+        rc = main(["eval", "--checkpoint", str(checkpoint_dir),
+                   "--test", str(corpus_dir / "test.jsonl"),
+                   "--threshold", "0.5", "--codes", str(other_codes)])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+
+    def test_matching_codes_file_accepted(self, corpus_dir, checkpoint_dir):
+        rc = main(["eval", "--checkpoint", str(checkpoint_dir),
+                   "--test", str(corpus_dir / "test.jsonl"), "--threshold", "0.5",
+                   "--codes", str(corpus_dir / "codes.txt")])
+        assert rc == 0
+
     def test_missing_checkpoint_dir(self, corpus_dir, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none"),
                    "--test", str(corpus_dir / "test.jsonl"),

@@ -125,6 +125,15 @@ class TestNotesIO:
         with pytest.raises(ValueError, match=rf"bad\.jsonl:2: field '{field}'"):
             load_notes(path)
 
+    @pytest.mark.parametrize("note_id", ["null", "1.0", "7", "[\"a\"]"])
+    def test_non_string_note_id_names_line(self, tmp_path, note_id):
+        # a null id is no note "None", so it cannot collide with one
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"note_id": "None", "text": "x", "codes": []}\n'
+                        '{"note_id": ' + note_id + ', "text": "y", "codes": []}\n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: field 'note_id' must be a string"):
+            load_notes(path)
+
     def test_duplicate_note_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text(

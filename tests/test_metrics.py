@@ -1,13 +1,16 @@
 """Micro-averaged metrics: confusion counts, threshold search, AUC sweeps.
 
-Streaming AUC implementations are checked against brute-force oracles: the
-pairwise rank statistic for ROC and a per-distinct-threshold curve for PR.
+Every metric reads one sorted curve, so each is checked against a
+brute-force oracle that does not: mask counts for the confusion counts and
+the threshold search, the pairwise rank statistic for ROC and a
+per-distinct-threshold curve for PR.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segcoder import metrics
 from segcoder.metrics import (
     EvalReport,
     PredictionSet,
@@ -28,10 +31,12 @@ def single_note(probs, label_indices):
     return PredictionSet(np.asarray([probs], dtype=np.float64), [label_indices])
 
 
-def random_set(rng, n_notes=None, k=None):
+def random_set(rng, n_notes=None, k=None, decimals=None):
     n = n_notes or int(rng.integers(1, 12))
     kk = k or int(rng.integers(1, 8))
     probs = rng.random((n, kk))
+    if decimals is not None:
+        probs = np.round(probs, decimals)  # heavy ties
     labels = [np.nonzero(rng.random(kk) < 0.4)[0] for _ in range(n)]
     return PredictionSet(probs, labels)
 
@@ -79,6 +84,11 @@ class TestPredictionSet:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError):
             PredictionSet(np.zeros((1, 3)), [[3]])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_rejects_empty_set(self, shape):
+        with pytest.raises(ValueError, match="no \\(note, code\\) pairs"):
+            PredictionSet(np.zeros(shape), [[] for _ in range(shape[0])])
 
 
 class TestConfusion:
@@ -199,9 +209,7 @@ class TestRocAuc:
     def test_matches_pairwise_oracle(self, rng):
         # 200 random prediction sets, including heavy score ties
         for i in range(200):
-            ps = random_set(rng)
-            if i % 3 == 0:
-                ps.probs = np.round(ps.probs, 1)  # force ties
+            ps = random_set(rng, decimals=1 if i % 3 == 0 else None)
             scores, y = ps.flat()
             oracle = pairwise_roc_oracle(scores, y)
             got = roc_auc(ps)
@@ -229,9 +237,7 @@ class TestPrAuc:
 
     def test_matches_per_threshold_oracle(self, rng):
         for i in range(200):
-            ps = random_set(rng)
-            if i % 3 == 0:
-                ps.probs = np.round(ps.probs, 1)
+            ps = random_set(rng, decimals=1 if i % 3 == 0 else None)
             scores, y = ps.flat()
             oracle = per_threshold_pr_oracle(scores, y)
             got = pr_auc(ps)
@@ -260,28 +266,33 @@ class TestReport:
 
     def test_evaluate_aucs_equal_standalone(self, rng):
         for i in range(50):
-            ps = random_set(rng)
-            if i % 3 == 0:
-                ps.probs = np.round(ps.probs, 1)
+            ps = random_set(rng, decimals=1 if i % 3 == 0 else None)
             report = evaluate(ps, 0.5)
             fresh = PredictionSet(ps.probs, [np.nonzero(row)[0] for row in ps.labels])
             assert report.pr_auc == pr_auc(fresh)
             assert report.roc_auc == roc_auc(fresh)
 
-    def test_evaluate_sorts_once(self, rng, monkeypatch):
-        calls = []
-        sweep = metrics._sweep
-        monkeypatch.setattr(metrics, "_sweep", lambda p: calls.append(p) or sweep(p))
-        evaluate(random_set(rng, n_notes=5, k=4), 0.5)
-        assert len(calls) == 1
+    def test_threshold_search_and_evaluate_sort_once(self, rng, monkeypatch):
+        sorts = []
+        for name in ("sort", "argsort"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _f=real, _n=name, **kw:
+                                sorts.append(_n) or _f(*a, **kw))
+        ps = random_set(rng, n_notes=5, k=4)
+        threshold, _ = best_threshold(ps)
+        evaluate(ps, threshold)
+        assert sorts == ["argsort"]
 
-    def test_new_probs_start_a_new_curve(self):
-        ps = single_note([0.1, 0.2, 0.8, 0.9], [2, 3])
+    def test_probs_fixed_at_construction(self):
+        probs = np.array([[0.1, 0.2, 0.8, 0.9]])
+        ps = PredictionSet(probs, [[2, 3]])
+        assert np.shares_memory(ps.probs, probs) and probs.flags.writeable  # a view
         assert roc_auc(ps) == 1.0
+        with pytest.raises(AttributeError):
+            ps.probs = 1.0 - ps.probs
         with pytest.raises(ValueError):
             ps.probs[0, 0] = 0.5   # read-only, so the cached curve cannot go stale
-        ps.probs = 1.0 - ps.probs
-        assert roc_auc(ps) == 0.0
+        assert roc_auc(ps) == 1.0
 
     def test_kv_format(self):
         report = EvalReport(threshold=0.5, micro_precision=1.0, micro_recall=0.5,
@@ -300,3 +311,47 @@ class TestReport:
         table = format_report_table(report)
         for key in ("micro F1", "PR-AUC", "ROC-AUC", "TP/FP/FN/TN"):
             assert key in table
+
+
+SCORE_VALUES = [0.0, 0.005, 0.01, 0.25, 0.5, 0.505, 0.99, 1.0]
+
+
+@st.composite
+def tied_sets(draw):
+    """Small [notes, K] sets whose scores come from SCORE_VALUES, so ties and
+    scores equal to a grid point are the common case."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    probs = draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=n * k, max_size=n * k))
+    y = draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+    return np.reshape(probs, (n, k)), np.reshape(y, (n, k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=tied_sets())
+def test_metrics_match_mask_counts_under_ties(case):
+    """confusion_at, best_threshold and both AUCs against oracles that count
+    pairs with boolean masks instead of reading the ranked curve."""
+    probs, y = case
+    ps = PredictionSet(probs, [np.nonzero(row)[0] for row in y])
+    scores, labels = probs.reshape(-1), y.reshape(-1)
+
+    def confusion(t):
+        """(tp, fp, fn, tn) by masks."""
+        hit = scores >= t
+        return tuple(int(np.sum(a & b)) for a in (hit, ~hit) for b in (labels, ~labels))
+
+    grid = default_grid()
+    for t in grid + sorted(set(scores.tolist())):
+        assert confusion_at(ps, t) == confusion(t)
+
+    f1s = [micro_f1(*confusion(t)[:3]) for t in grid]
+    expected = (grid[f1s.index(max(f1s))], max(f1s))  # first, so smallest t
+    assert best_threshold(ps) == expected
+    assert best_threshold(ps, grid[::-1]) == expected
+
+    roc, pr = pairwise_roc_oracle(scores, labels), per_threshold_pr_oracle(scores, labels)
+    if roc is None:
+        assert roc_auc(ps) is None and pr_auc(ps) is None
+    else:
+        assert roc_auc(ps) == pytest.approx(roc, abs=1e-12)
+        assert pr_auc(ps) == pytest.approx(pr, abs=1e-12)

@@ -327,7 +327,7 @@ class TestTrainLoop:
         scripted = iter([0.1, 0.5, 0.3])
         snapshots = []
 
-        def fake_eval(model_, examples, threshold=None, grid=None):
+        def fake_eval(model_, examples, threshold=None):
             snapshots.append(model_.head.W.data.copy())
             f1 = next(scripted)
             return EvalReport(threshold=0.5, micro_precision=f1, micro_recall=f1,
