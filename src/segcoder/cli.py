@@ -41,9 +41,8 @@ OPTIONS = {
     },
     "train": {
         "corpus": None, "val": None, "codes": None, "vocab": None, "out_dir": None,
-        "encoder": "transformer", "seg_len": 512, "seg_stride": 0,
-        "max_seq_len": 512, "hidden": 256, "blocks": 2, "heads": 4,
-        "intermediate": 1024, "max_positions": 0,
+        "encoder": "transformer", "seg_len": 512, "max_seq_len": 512,
+        "hidden": 256, "blocks": 2, "heads": 4, "intermediate": 1024, "max_positions": 0,
         "cnn_embed": 100, "cnn_filters": 256, "cnn_kernel": 9, "cnn_max_words": 2500,
         "lr": 2e-4, "batch_size": 4, "max_steps": 1000, "eval_every": 100, "seed": 0,
     },
@@ -156,26 +155,30 @@ def _build_model(opt, train_notes, label_set):
     kind = opt["encoder"]
     if kind == "transformer":
         vocab = Vocab.from_file(_require_file(opt, "vocab", "--vocab"))
-        max_pos = opt["max_positions"] or max(512, opt["seg_len"])
-        cfg = EncoderConfig(
+        config_cls, fields = EncoderConfig, dict(
             num_blocks=opt["blocks"], hidden=opt["hidden"], heads=opt["heads"],
             intermediate=opt["intermediate"], vocab_size=len(vocab),
-            max_positions=max_pos, seg_len=opt["seg_len"],
+            max_positions=opt["max_positions"] or max(512, opt["seg_len"]),
+            seg_len=opt["seg_len"],
         )
     elif kind == "cnn":
         if opt["vocab"]:
             vocab = Vocab.from_file(_require_file(opt, "vocab", "--vocab"))
         else:
             vocab = build_word_vocab(n.text for n in train_notes)
-        cfg = CnnConfig(
+        config_cls, fields = CnnConfig, dict(
             embed_dim=opt["cnn_embed"], filters=opt["cnn_filters"],
             kernel=opt["cnn_kernel"], max_words=opt["cnn_max_words"],
             vocab_size=len(vocab),
         )
     else:
         raise UsageError(f"--encoder must be transformer or cnn, got {kind!r}")
+    try:
+        cfg = config_cls(**fields)
+    except ValueError as e:  # an encoder shape these flags cannot build
+        raise UsageError(str(e)) from None
     return new_model(kind, cfg, vocab, label_set, s_max=opt["max_seq_len"],
-                     stride=opt["seg_stride"], seed=opt["seed"])
+                     seed=opt["seed"])
 
 
 def cmd_train(opt):
@@ -266,10 +269,10 @@ def cmd_predict(opt):
         text = opt["text"] or ""
     if not text.strip():
         raise UsageError("empty input text; pass --text or --file")
-    model = CodingModel.load(ckpt)
     top_n = opt["top_n"]
     if top_n < 1:
         raise UsageError(f"--top-n must be >= 1, got {top_n}")
+    model = CodingModel.load(ckpt)
     for code, prob in model.rank_codes(text, top_n=top_n):
         print(f"{code}\t{prob:.6f}")
     return 0

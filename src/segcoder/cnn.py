@@ -31,6 +31,9 @@ class CnnConfig:
     vocab_size: int = 0       # filled in once the word vocabulary is built
 
     def __post_init__(self):
+        if min(self.embed_dim, self.filters, self.max_words) < 1:
+            raise ValueError(f"embed_dim, filters and max_words must be >= 1, got "
+                             f"{self.embed_dim}, {self.filters}, {self.max_words}")
         if self.kernel % 2 != 1:
             raise ValueError(f"kernel width must be odd for same padding, got {self.kernel}")
 

@@ -81,6 +81,10 @@ def _note_from_json(obj, where):
     for c in codes:
         if not isinstance(c, str):
             raise ValueError(f"{where}: field 'codes' must hold strings, got {c!r:.40}")
+        # a code must survive codes.txt, one stripped non-empty line per code
+        if c != c.strip() or c.splitlines() != [c]:
+            raise ValueError(f"{where}: field 'codes' must hold non-empty codes without "
+                             f"surrounding whitespace or line breaks, got {c!r:.40}")
     return Note(note_id=note_id, text=text, codes=codes)
 
 

@@ -28,8 +28,7 @@ KINDS = ("transformer", "cnn")
 
 
 class CodingModel:
-    def __init__(self, kind, enc_config, enc_params, head, vocab, label_set,
-                 s_max, stride=0):
+    def __init__(self, kind, enc_config, enc_params, head, vocab, label_set, s_max):
         if kind not in KINDS:
             raise ValueError(f"encoder kind must be one of {KINDS}, got {kind!r}")
         self.kind = kind
@@ -39,7 +38,6 @@ class CodingModel:
         self.vocab = vocab
         self.label_set = label_set
         self.s_max = int(s_max)
-        self.stride = int(stride)
 
     @property
     def num_classes(self):
@@ -79,7 +77,7 @@ class CodingModel:
                 raise ValueError("cannot encode an empty token sequence")
             if self.kind == "transformer":
                 padded = pad_to_multiple(seq, cfg.seg_len, self.vocab.pad_id)
-                plan = plan_segments(len(padded.ids), cfg.seg_len, self.stride)
+                plan = plan_segments(len(padded.ids), cfg.seg_len)
                 hidden = encode_long(enc, padded, plan)
             else:
                 hidden = encode_cnn(self.enc_params, cfg, seq.ids[: seq.s])
@@ -101,7 +99,6 @@ class CodingModel:
         cfg = {
             "kind": self.kind,
             "s_max": self.s_max,
-            "stride": self.stride,
             "encoder": dataclasses.asdict(self.enc_config),
         }
         with open(os.path.join(directory, CONFIG_NAME), "w", encoding="utf-8") as f:
@@ -115,10 +112,10 @@ class CodingModel:
     def load(cls, directory):
         """The model saved in ``directory``. Its parameters are views of the
         checkpoint's one blob buffer; nothing is drawn at random."""
-        kind, enc_config, s_max, stride = _read_config(os.path.join(directory, CONFIG_NAME))
+        kind, enc_config, s_max = _read_config(os.path.join(directory, CONFIG_NAME))
         vocab = Vocab.from_file(os.path.join(directory, VOCAB_NAME))
         label_set = LabelSet.from_file(os.path.join(directory, CODES_NAME))
-        model = _build(kind, enc_config, vocab, label_set, s_max, stride, rng=None)
+        model = _build(kind, enc_config, vocab, label_set, s_max, rng=None)
         arrays = checkpoint.load_tensors(directory)
         named = dict(model.named_parameters())
         if set(arrays) != set(named):
@@ -134,14 +131,19 @@ class CodingModel:
 
 
 def _read_config(path):
-    """``(kind, encoder config, s_max, stride)`` from a saved config.json.
-    Every fault raises ValueError naming the file and the field."""
+    """``(kind, encoder config, s_max)`` from a saved config.json. Every
+    fault raises ValueError naming the file and the field. Checkpoints from
+    before overlapping windows were removed hold ``"stride": 0``, which is
+    accepted; any other stride is refused."""
     with open(path, encoding="utf-8") as f:
         try:
             cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: {e}") from e
-    _check_fields(path, "", cfg, ("kind", "s_max", "stride", "encoder"))
+    _check_fields(path, "", cfg, ("kind", "s_max", "encoder"), optional=("stride",))
+    if cfg.get("stride", 0) != 0:
+        raise ValueError(f"{path}: stride {cfg['stride']!r}: overlapping windows are "
+                         f"no longer supported; only disjoint windows (stride 0) load")
     kind = cfg["kind"]
     if kind not in KINDS:
         raise ValueError(f"{path}: encoder kind must be one of {KINDS}, got {kind!r}")
@@ -149,27 +151,26 @@ def _read_config(path):
     fields = [f.name for f in dataclasses.fields(config_cls)]
     _check_fields(path, "encoder ", cfg["encoder"], fields)
     try:
-        return kind, config_cls(**cfg["encoder"]), int(cfg["s_max"]), int(cfg["stride"])
+        return kind, config_cls(**cfg["encoder"]), int(cfg["s_max"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from e
 
 
-def _check_fields(path, what, obj, expected):
+def _check_fields(path, what, obj, expected, optional=()):
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object of {what}fields, got {obj!r}")
     for fault, names in (("missing", [n for n in expected if n not in obj]),
-                         ("unknown", sorted(set(obj) - set(expected)))):
+                         ("unknown", sorted(set(obj) - set(expected) - set(optional)))):
         if names:
             raise ValueError(f"{path}: {fault} {what}field(s) {', '.join(map(repr, names))}")
 
 
-def new_model(kind, enc_config, vocab, label_set, s_max, stride=0, seed=0):
+def new_model(kind, enc_config, vocab, label_set, s_max, seed=0):
     """Freshly initialized model; all weights drawn from one seeded stream."""
-    return _build(kind, enc_config, vocab, label_set, s_max, stride,
-                  np.random.default_rng(seed))
+    return _build(kind, enc_config, vocab, label_set, s_max, np.random.default_rng(seed))
 
 
-def _build(kind, enc_config, vocab, label_set, s_max, stride, rng):
+def _build(kind, enc_config, vocab, label_set, s_max, rng):
     """A model whose weights come from ``rng``, or are left uninitialised
     for a checkpoint to fill when ``rng`` is None."""
     if len(label_set) == 0:
@@ -187,5 +188,4 @@ def _build(kind, enc_config, vocab, label_set, s_max, stride, rng):
     else:
         raise ValueError(f"encoder kind must be one of {KINDS}, got {kind!r}")
     head = LabelHeadParams(len(label_set), hidden, rng)
-    return CodingModel(kind, enc_config, enc_params, head, vocab, label_set,
-                       s_max=s_max, stride=stride)
+    return CodingModel(kind, enc_config, enc_params, head, vocab, label_set, s_max=s_max)

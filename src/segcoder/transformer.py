@@ -48,6 +48,9 @@ class EncoderConfig:
     include_pooler: bool = True
 
     def __post_init__(self):
+        if min(self.hidden, self.heads, self.seg_len) < 1:
+            raise ValueError(f"hidden, heads and seg_len must be >= 1, got hidden "
+                             f"{self.hidden}, heads {self.heads}, seg_len {self.seg_len}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.seg_len > self.max_positions:

@@ -96,7 +96,7 @@ def per_note_probs(model, seq):
     if model.kind == "transformer":
         cfg = model.enc_config
         padded = pad_to_multiple(seq, cfg.seg_len, model.vocab.pad_id)
-        plan = plan_segments(len(padded.ids), cfg.seg_len, model.stride)
+        plan = plan_segments(len(padded.ids), cfg.seg_len)
         def enc(ids, pad_mask):
             return encode_segment(model.enc_params, cfg, ids, pad_mask)
         hidden = encode_long(enc, padded, plan)

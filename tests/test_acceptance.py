@@ -140,7 +140,7 @@ def test_criterion_2_gradient_correctness():
     head = LabelHeadParams(3, 8, rng, dtype=np.float64)
     seq = TokenSequence(ids=rng.integers(0, 12, size=10), s=10)
     padded = pad_to_multiple(seq, cfg.seg_len, 0)
-    plan = plan_segments(len(padded.ids), cfg.seg_len, stride=0)
+    plan = plan_segments(len(padded.ids), cfg.seg_len)
     labels = label_matrix([[0, 2]], 3)
 
     def loss():
@@ -172,7 +172,7 @@ def test_criterion_3_segment_equivalence_and_locality():
     for s in (1, 5, 8):
         ids = rng.integers(1, 20, size=s)
         seq = pad_to_multiple(TokenSequence(ids=ids, s=s), cfg.seg_len, 0)
-        plan = plan_segments(len(seq.ids), cfg.seg_len, stride=0)
+        plan = plan_segments(len(seq.ids), cfg.seg_len)
         with T.no_grad():
             long_out = encode_long(enc, seq, plan).data
             single = encode_segment(params, cfg, seq.ids,
@@ -183,7 +183,7 @@ def test_criterion_3_segment_equivalence_and_locality():
     s = 3 * cfg.seg_len
     ids = rng.integers(1, 20, size=s)
     seq = TokenSequence(ids=ids, s=s)
-    plan = plan_segments(s, cfg.seg_len, stride=0)
+    plan = plan_segments(s, cfg.seg_len)
     with T.no_grad():
         base = encode_long(enc, seq, plan).data
     edited = ids.copy()

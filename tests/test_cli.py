@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, config layering."""
 
+import ast
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segcoder.cli as cli
 from segcoder.cli import (OPTIONS, RESOLVED_NAME, build_parser, emit_resolved,
                           main, option_type, parse_config_file, resolve_options)
 from segcoder.corpus import format_cdf, load_notes, token_length_cdf
@@ -165,6 +168,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: note " in err and "'C0003'" in err and "K=3" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--hidden", "30", "--heads", "4"], "hidden 30 not divisible by heads 4"),
+        (["--seg-len", "16", "--max-positions", "8"], "seg_len 16 exceeds max_positions 8"),
+        (["--seg-len", "0"], "got hidden 16, heads 2, seg_len 0"),
+        (["--heads", "0"], "got hidden 16, heads 0, seg_len 8"),
+        (["--hidden", "0"], "got hidden 0, heads 2, seg_len 8"),
+        (["--encoder", "cnn", "--cnn-filters", "0"], "must be >= 1, got 100, 0, 2500"),
+        (["--encoder", "cnn", "--cnn-kernel", "4"], "kernel width must be odd"),
+    ], ids=["hidden-not-divisible", "seg-len-past-positions", "seg-len-zero", "heads-zero",
+            "hidden-zero", "cnn-filters-zero", "cnn-kernel-even"])
+    def test_unbuildable_encoder_is_usage_error(self, corpus_dir, tmp_path, capsys,
+                                                flags, named):
+        rc = main([
+            "train", "--corpus", str(corpus_dir / "train.jsonl"),
+            "--val", str(corpus_dir / "val.jsonl"),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+            "--out-dir", str(tmp_path / "run"), *TINY_TRAIN_FLAGS, *flags,
+        ])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unknown_encoder_writes_nothing(self, corpus_dir, tmp_path, capsys, source):
         cfg = tmp_path / "run.cfg"
@@ -291,6 +316,12 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(checkpoint_dir),
                    "--text", "w00001", "--top-n", "0"])
         assert rc == 2
+
+    def test_bad_top_n_checked_before_checkpoint_is_read(self, tmp_path, capsys):
+        rc = main(["predict", "--checkpoint", str(tmp_path), "--text", "hi",
+                   "--top-n", "0"])
+        assert rc == 2
+        assert "--top-n must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, named", [
         (lambda cfg: cfg["encoder"].update(extra_field=1),
@@ -426,6 +457,43 @@ class TestOptionTable:
         lines = capsys.readouterr().err.splitlines()
         assert lines[0] == f"command={command}"
         assert sorted(line.split("=", 1)[0] for line in lines[1:]) == sorted(OPTIONS[command])
+
+
+    def test_every_option_is_read_by_its_command(self):
+        # a deleted code path cannot leave a dead flag behind
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for command, options in OPTIONS.items():
+            read = keys_read(funcs, "cmd_" + command.replace("-", "_"), "opt")
+            assert sorted(set(options) - read) == [], command
+
+
+def keys_read(funcs, name, param, seen=()):
+    """Option keys that cli.py's function ``name`` reads from its argument
+    ``param``: ``param["key"]``, a key literal passed right after ``param``
+    (``_require(opt, "out_dir", ...)``), and the same in every cli.py
+    function that ``param`` is handed to, such as ``_build_model``."""
+    def is_param(node):
+        return isinstance(node, ast.Name) and node.id == param
+
+    keys = set()
+    for node in ast.walk(funcs[name]):
+        if isinstance(node, ast.Subscript) and is_param(node.value) \
+                and isinstance(node.slice, ast.Constant):
+            keys.add(node.slice.value)
+        if not isinstance(node, ast.Call):
+            continue
+        for i, arg in enumerate(node.args):
+            if not is_param(arg):
+                continue
+            following = node.args[i + 1:i + 2]
+            if following and isinstance(following[0], ast.Constant):
+                keys.add(following[0].value)
+            callee = getattr(node.func, "id", None)
+            if callee in funcs and callee not in seen:
+                keys |= keys_read(funcs, callee, funcs[callee].args.args[i].arg,
+                                  seen + (callee,))
+    return keys
 
 
 class TestParser:

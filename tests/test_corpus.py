@@ -125,6 +125,19 @@ class TestNotesIO:
         with pytest.raises(ValueError, match=rf"bad\.jsonl:2: field '{field}'"):
             load_notes(path)
 
+    @pytest.mark.parametrize("codes", [["", "A"], ["A ", "B"], [" A"], ["A\nB"],
+                                       ["A\r"], ["\t"]],
+                             ids=["empty", "trailing-space", "leading-space", "line-feed",
+                                  "carriage-return", "blank"])
+    def test_code_that_codes_txt_cannot_hold_names_line(self, tmp_path, codes):
+        # codes.txt keeps one stripped, non-empty line per code, so '' or
+        # 'A ' would come back from a saved checkpoint as another label set
+        path = tmp_path / "bad.jsonl"
+        save_notes([Note("1", "x", ["A"]), Note("2", "y", codes)], path)
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: field 'codes' must hold "
+                                             r"non-empty codes"):
+            load_notes(path)
+
     @pytest.mark.parametrize("note_id", ["null", "1.0", "7", "[\"a\"]"])
     def test_non_string_note_id_names_line(self, tmp_path, note_id):
         # a null id is no note "None", so it cannot collide with one

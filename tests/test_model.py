@@ -1,10 +1,14 @@
 """End-to-end model wrapper: dispatch, persistence, ranking."""
 
 import hashlib
+import json
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segcoder.model as model_mod
 import segcoder.transformer as transformer_mod
@@ -24,12 +28,12 @@ def make_vocab():
     return Vocab([PAD_TOKEN, UNK_TOKEN] + [f"t{i}" for i in range(8)])
 
 
-def transformer_model(seed=0, stride=0):
+def transformer_model(seed=0):
     config = EncoderConfig(num_blocks=1, hidden=16, heads=2, intermediate=32,
                            vocab_size=10, max_positions=8, type_vocab=2,
                            seg_len=8, include_pooler=False)
     return new_model("transformer", config, make_vocab(), LabelSet(["A", "B", "C"]),
-                     s_max=24, stride=stride, seed=seed)
+                     s_max=24, seed=seed)
 
 
 def cnn_model(seed=0):
@@ -163,15 +167,34 @@ class TestPersistence:
         assert np.array_equal(before, after)
 
     def test_round_trip_preserves_configuration(self, tmp_path):
-        model = transformer_model(stride=4)
+        model = transformer_model()
         model.save(tmp_path / "ckpt")
         reloaded = CodingModel.load(tmp_path / "ckpt")
         assert reloaded.kind == "transformer"
-        assert reloaded.stride == 4
         assert reloaded.s_max == model.s_max
         assert reloaded.enc_config == model.enc_config
         assert reloaded.label_set.codes == ["A", "B", "C"]
         assert reloaded.vocab.tokens == model.vocab.tokens
+
+    def test_legacy_stride_zero_config_loads_bit_exact(self, tmp_path):
+        # checkpoints written while windows could overlap hold "stride": 0
+        model = transformer_model()
+        text = "t0 t1 t2 t3 t4 t5 t6 t7 t0 t1"
+        model.save(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "config.json"
+        cfg = json.loads(path.read_text())
+        assert "stride" not in cfg
+        path.write_text(json.dumps(dict(cfg, stride=0)))
+        after = text_probs(CodingModel.load(tmp_path / "ckpt"), text)
+        assert np.array_equal(text_probs(model, text).view(np.uint32), after.view(np.uint32))
+
+    def test_legacy_overlap_stride_refused(self, tmp_path):
+        transformer_model().save(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "config.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), stride=3)))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: stride 3: overlapping "
+                                                             "windows are no longer supported")):
+            CodingModel.load(tmp_path / "ckpt")
 
     def test_parameter_names_stable(self, tmp_path):
         model = cnn_model()
@@ -256,13 +279,29 @@ class TestBatchedEncoding:
 
 PARITY_MODELS = {
     "transformer": lambda: transformer_model(seed=2),
-    "transformer-stride": lambda: transformer_model(seed=2, stride=3),
     "cnn": lambda: cnn_model(seed=2),
 }
 
 
 class TestProbsParity:
     """probs against the per-note reference loop, conftest.per_note_probs."""
+
+    @pytest.mark.parametrize("which", sorted(PARITY_MODELS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(notes=st.lists(st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.integers(0, 7), min_size=n, max_size=n)), min_size=1, max_size=3))
+    def test_probs_match_per_note_loop_over_note_lengths(self, which, notes):
+        # s_max is 24 and seg_len 8: lengths up to 40 draw one window,
+        # several, a ragged last window and notes cut by token_sequence;
+        # the oracle gets each note uncut (word t{i} is vocab id i + 2)
+        model = PARITY_MODELS[which]()
+        texts = [" ".join(f"t{i}" for i in note) for note in notes]
+        with no_grad():
+            got = model.probs([model.token_sequence(t) for t in texts]).data
+            want = np.stack([
+                per_note_probs(model, TokenSequence(ids=np.array(note) + 2, s=len(note))).data
+                for note in notes])
+        assert_parity(got, want, np.float32)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lengths", [(5,), (3, 20, 11)])

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import param_gradcheck
 from segcoder.segments import encode_long, plan_segments
@@ -25,105 +23,29 @@ def tiny_encoder(seed=7, dtype=np.float32):
     return enc, params, cfg
 
 
-def owned_ranges(plan):
-    """Per segment, the contiguous [lo, hi) span of tokens it owns."""
-    ranges = []
-    for i, (start, end) in enumerate(plan.segments):
-        pos = np.nonzero(plan.owner == i)[0]
-        if len(pos) == 0:
-            ranges.append((0, 0))
-            continue
-        lo, hi = int(pos[0]), int(pos[-1]) + 1
-        assert hi - lo == len(pos), f"segment {i} owns a non-contiguous span"
-        assert start <= lo and hi <= end, \
-            f"segment {i} owns [{lo},{hi}) outside its window [{start},{end})"
-        ranges.append((lo, hi))
-    return ranges
-
-
 def encode_long_oracle(encoder, seq, plan):
     """Reference oracle: the per-window loop the batched ``encode_long``
-    replaced. One encoder call per window, owned rows sliced out and
-    concatenated, then the padded tail dropped."""
+    replaced. One encoder call per window, the rows concatenated, then the
+    padded tail dropped."""
     pad_mask = np.arange(len(seq.ids)) >= seq.s
-    pieces = []
-    for (start, end), (lo, hi) in zip(plan.segments, owned_ranges(plan)):
-        out = encoder(seq.ids[start:end], pad_mask[start:end])
-        if hi > lo:
-            pieces.append(slice_rows(out, lo - start, hi - start))
+    pieces = [encoder(seq.ids[start:end], pad_mask[start:end])
+              for start, end in plan.segments]
     return slice_rows(concat_rows(pieces), 0, seq.s)
-
-
-@st.composite
-def plan_shapes(draw):
-    """(padded_len, seg_len, stride) that plan_segments accepts."""
-    seg = draw(st.integers(1, 48))
-    stride = draw(st.integers(0, seg - 1))
-    if stride == 0:
-        return seg * draw(st.integers(1, 8)), seg, stride
-    return draw(st.integers(seg, 8 * seg)), seg, stride
 
 
 class TestPlanSegments:
     def test_disjoint_two_windows(self):
-        plan = plan_segments(1024, 512, stride=0)
+        plan = plan_segments(1024, 512)
         assert plan.segments == [(0, 512), (512, 1024)]
-        assert list(plan.owner[:512]) == [0] * 512
-        assert list(plan.owner[512:]) == [1] * 512
-
-    def test_single_window_any_stride(self):
-        for stride in (0, 1, 256, 511):
-            plan = plan_segments(512, 512, stride=stride)
-            assert plan.segments == [(0, 512)]
-            assert np.all(plan.owner == 0)
-
-    def test_overlap_owner_by_center_distance(self):
-        plan = plan_segments(768, 512, stride=256)
-        assert plan.segments == [(0, 512), (256, 768)]
-        # centers at 256 and 512; position 300 is nearer the first center
-        assert plan.owner[300] == 0
-        # equidistant position 384 goes to the earlier window
-        assert plan.owner[384] == 0
-        assert plan.owner[385] == 1
-
-    def test_overlap_tail_window_flush_right(self):
-        plan = plan_segments(10, 4, stride=2)
-        assert plan.segments == [(0, 4), (2, 6), (4, 8), (6, 10)]
-        ranges = owned_ranges(plan)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 10
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(shape=plan_shapes())
-    @example(shape=(12, 4, 0))
-    @example(shape=(20, 5, 2))
-    @example(shape=(16, 8, 3))
-    @example(shape=(9, 4, 1))
-    def test_every_position_owned_exactly_once(self, shape):
-        padded, seg, stride = shape
-        plan = plan_segments(padded, seg, stride)
-        assert plan.owner.shape == (padded,)
-        covered = np.zeros(padded, dtype=int)
-        for i, (lo, hi) in enumerate(owned_ranges(plan)):
-            covered[lo:hi] += 1
-            assert np.all(plan.owner[lo:hi] == i)
-        assert np.all(covered == 1)
-        for p in range(padded):
-            containing = [i for i, (lo, hi) in enumerate(plan.segments) if lo <= p < hi]
-            lo, hi = plan.segments[plan.owner[p]]
-            assert lo <= p < hi
-            # nearest centre among the containing windows; ties to the earlier
-            nearest = min(containing, key=lambda i: (abs(p - sum(plan.segments[i]) / 2), i))
-            assert plan.owner[p] == nearest
-
-    def test_invalid_stride(self):
-        with pytest.raises(ValueError):
-            plan_segments(8, 4, stride=4)
-        with pytest.raises(ValueError):
-            plan_segments(8, 4, stride=-1)
+        assert plan.padded_len == 1024
 
     def test_disjoint_requires_multiple(self):
         with pytest.raises(ValueError):
-            plan_segments(10, 4, stride=0)
+            plan_segments(10, 4)
+
+    def test_shorter_than_one_window_rejected(self):
+        with pytest.raises(ValueError):
+            plan_segments(3, 4)
 
 
 class TestEncodeLong:
@@ -171,18 +93,6 @@ class TestEncodeLong:
         np.testing.assert_array_equal(out_a.data[:4], out_b.data[:4])
         assert not np.array_equal(out_a.data[4:], out_b.data[4:])
 
-    def test_overlap_agrees_with_disjoint_on_identical_window_content(self):
-        # stride>0 windows starting at 0 see the same content as the
-        # disjoint first window, so owned rows there must agree exactly
-        enc, params, cfg = tiny_encoder()
-        ids = np.array([1, 2, 3, 4, 5, 6, 7, 8])
-        seq = TokenSequence(ids=ids, s=8)
-        with no_grad():
-            disjoint = encode_long(enc, seq, plan_segments(8, 4, stride=0))
-            overlap = encode_long(enc, seq, plan_segments(8, 4, stride=2))
-        # overlap plan: windows (0,4),(2,6),(4,8); window (0,4) owns [0,3)
-        np.testing.assert_array_equal(overlap.data[:3], disjoint.data[:3])
-
     def test_plan_length_mismatch_rejected(self):
         enc, params, cfg = tiny_encoder()
         seq = TokenSequence(ids=np.ones(8, dtype=np.int64), s=8)
@@ -229,18 +139,16 @@ class TestBatchedAgainstLoop:
         return [("out", out.data)] + [(n, t.grad) for n, t in params.named()]
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
-    @pytest.mark.parametrize("s,padded,stride", [
-        (3, 4, 0),       # s < seg_len
-        (12, 12, 0),     # s = 3 * seg_len
-        (9, 12, 0),      # ragged s
-        (10, 10, 2),     # overlapping windows (0,4),(2,6),(4,8),(6,10)
-        (7, 10, 2),      # overlap with a padded tail
+    @pytest.mark.parametrize("s,padded", [
+        (3, 4),       # s < seg_len
+        (12, 12),     # s = 3 * seg_len
+        (9, 12),      # ragged s
     ])
-    def test_output_and_gradients(self, s, padded, stride, dtype, tol):
-        ids = np.random.default_rng(s * 7 + stride).integers(1, 12, size=padded)
+    def test_output_and_gradients(self, s, padded, dtype, tol):
+        ids = np.random.default_rng(s * 7).integers(1, 12, size=padded)
         ids[s:] = 0
         seq = TokenSequence(ids=ids, s=s)
-        plan = plan_segments(padded, 4, stride)
+        plan = plan_segments(padded, 4)
         got = self._run(encode_long, dtype, seq, plan)
         want = self._run(encode_long_oracle, dtype, seq, plan)
         for (name, g), (_, w) in zip(got, want):

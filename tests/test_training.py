@@ -31,13 +31,13 @@ def tiny_vocab():
     return Vocab([PAD_TOKEN, UNK_TOKEN] + [f"t{i}" for i in range(8)])
 
 
-def tiny_model(num_codes=2, seed=0, stride=0):
+def tiny_model(num_codes=2, seed=0):
     config = EncoderConfig(num_blocks=1, hidden=16, heads=2, intermediate=32,
                            vocab_size=10, max_positions=8, type_vocab=2,
                            seg_len=8, include_pooler=False)
     label_set = LabelSet([f"C{i}" for i in range(num_codes)])
     return new_model("transformer", config, tiny_vocab(), label_set,
-                     s_max=16, stride=stride, seed=seed)
+                     s_max=16, seed=seed)
 
 
 def tiny_cnn_model(num_codes=2, seed=0):
@@ -187,7 +187,6 @@ class TestBatchSemantics:
 
 PARITY_MODELS = {
     "transformer": lambda: tiny_model(num_codes=3, seed=4),
-    "transformer-stride": lambda: tiny_model(num_codes=3, seed=4, stride=3),
     "cnn": lambda: tiny_cnn_model(num_codes=3, seed=4),
 }
 
