@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import param_gradcheck
 from segcoder.segments import encode_long, plan_segments
@@ -38,6 +40,28 @@ class TestPlanSegments:
         plan = plan_segments(1024, 512)
         assert plan.segments == [(0, 512), (512, 1024)]
         assert plan.padded_len == 1024
+
+    def test_single_window(self):
+        for seg in (1, 4, 512):
+            plan = plan_segments(seg, seg)
+            assert plan.segments == [(0, seg)]
+            assert plan.padded_len == seg
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seg=st.integers(1, 48), windows=st.integers(1, 8))
+    @example(seg=4, windows=3)
+    def test_every_position_covered_exactly_once(self, seg, windows):
+        padded = seg * windows
+        plan = plan_segments(padded, seg)
+        assert plan.seg_len == seg and plan.padded_len == padded
+        assert len(plan.segments) == windows
+        covered = np.zeros(padded, dtype=int)
+        for lo, hi in plan.segments:
+            assert hi - lo == seg
+            covered[lo:hi] += 1
+        assert np.all(covered == 1)
+        # windows are in order and contiguous
+        assert [lo for lo, _ in plan.segments] == list(range(0, padded, seg))
 
     def test_disjoint_requires_multiple(self):
         with pytest.raises(ValueError):
@@ -143,6 +167,7 @@ class TestBatchedAgainstLoop:
         (3, 4),       # s < seg_len
         (12, 12),     # s = 3 * seg_len
         (9, 12),      # ragged s
+        (7, 8),       # ragged s ending inside the second of two windows
     ])
     def test_output_and_gradients(self, s, padded, dtype, tol):
         ids = np.random.default_rng(s * 7).integers(1, 12, size=padded)
