@@ -200,7 +200,6 @@ def cmd_train(opt):
         sys.stderr.write(f"ignored {dropped} validation code instances "
                          f"outside the label set\n")
 
-    model = _build_model(opt, train_notes, label_set)
     tc = TrainConfig(lr=opt["lr"], batch_size=opt["batch_size"],
                      max_steps=opt["max_steps"], eval_every=opt["eval_every"],
                      max_seq_len=opt["max_seq_len"], seed=opt["seed"])
@@ -208,6 +207,7 @@ def cmd_train(opt):
         tc.validate()
     except ValueError as e:
         raise UsageError(str(e)) from None
+    model = _build_model(opt, train_notes, label_set)
     emit_resolved(opt, "train", out_dir)
     result = train_loop(model, train_notes, val_notes, tc, out_dir)
     print(f"best_step={result.best_step}")
@@ -262,6 +262,8 @@ def cmd_eval(opt):
 def cmd_predict(opt):
     ckpt = _require_dir(opt, "checkpoint", "--checkpoint")
     emit_resolved(opt, "predict")
+    if opt["file"] and opt["text"]:
+        raise UsageError("pass either --text or --file, not both")
     if opt["file"]:
         with open(_require_file(opt, "file", "--file"), encoding="utf-8") as f:
             text = f.read()

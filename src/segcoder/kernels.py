@@ -8,7 +8,7 @@ Shapes:
 
 - ``softmax_fwd``/``softmax_bwd`` and ``layernorm_fwd``/``layernorm_bwd``
   work row-wise on 2-D ``[n, d]`` arrays; ``layernorm_*`` also return or
-  take the per-row ``mean`` and ``rstd`` of shape ``[n]``.
+  take the normalized rows ``xhat`` and the per-row ``rstd`` of shape ``[n]``.
 - ``gelu_*``, ``sigmoid_*`` and ``adam_update`` are elementwise and take
   arrays of any shape and layout; ``adam_update`` writes ``p``, ``m`` and
   ``v`` in place.
@@ -40,14 +40,13 @@ def _softmax_bwd(dy, y):
 
 def _layernorm_fwd(x, gamma, beta, eps):
     mean = np.mean(x, axis=1)
-    var = np.mean((x - mean[:, None]) ** 2, axis=1)
-    rstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[:, None]) * rstd[:, None]
-    return xhat * gamma + beta, mean, rstd
+    xc = x - mean[:, None]
+    rstd = 1.0 / np.sqrt(np.mean(xc ** 2, axis=1) + eps)
+    xhat = xc * rstd[:, None]
+    return xhat * gamma + beta, xhat, rstd
 
 
-def _layernorm_bwd(dy, x, gamma, mean, rstd):
-    xhat = (x - mean[:, None]) * rstd[:, None]
+def _layernorm_bwd(dy, xhat, gamma, rstd):
     dgamma = np.sum(dy * xhat, axis=0)
     dbeta = np.sum(dy, axis=0)
     dxhat = dy * gamma

@@ -31,6 +31,8 @@ class CodingModel:
     def __init__(self, kind, enc_config, enc_params, head, vocab, label_set, s_max):
         if kind not in KINDS:
             raise ValueError(f"encoder kind must be one of {KINDS}, got {kind!r}")
+        if s_max < 1:
+            raise ValueError(f"s_max must be >= 1, got {s_max}")
         self.kind = kind
         self.enc_config = enc_config
         self.enc_params = enc_params
@@ -140,29 +142,38 @@ def _read_config(path):
             cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: {e}") from e
-    _check_fields(path, "", cfg, ("kind", "s_max", "encoder"), optional=("stride",))
+    _check_fields(path, "", cfg, {"kind": "", "s_max": 1, "encoder": {}}, optional=("stride",))
     if cfg.get("stride", 0) != 0:
         raise ValueError(f"{path}: stride {cfg['stride']!r}: overlapping windows are "
                          f"no longer supported; only disjoint windows (stride 0) load")
-    kind = cfg["kind"]
+    kind, s_max = cfg["kind"], cfg["s_max"]
     if kind not in KINDS:
         raise ValueError(f"{path}: encoder kind must be one of {KINDS}, got {kind!r}")
+    if s_max < 1:
+        raise ValueError(f"{path}: field 's_max' must be >= 1, got {s_max}")
     config_cls = EncoderConfig if kind == "transformer" else CnnConfig
-    fields = [f.name for f in dataclasses.fields(config_cls)]
-    _check_fields(path, "encoder ", cfg["encoder"], fields)
+    _check_fields(path, "encoder ", cfg["encoder"],
+                  {f.name: f.default for f in dataclasses.fields(config_cls)})
     try:
-        return kind, config_cls(**cfg["encoder"]), int(cfg["s_max"])
-    except (TypeError, ValueError) as e:
+        return kind, config_cls(**cfg["encoder"]), s_max
+    except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
 
 def _check_fields(path, what, obj, expected, optional=()):
+    """``obj`` holds each key of ``expected`` with the type of its value
+    there (an int is never a bool or a float), and no other key outside
+    ``optional``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object of {what}fields, got {obj!r}")
     for fault, names in (("missing", [n for n in expected if n not in obj]),
                          ("unknown", sorted(set(obj) - set(expected) - set(optional)))):
         if names:
             raise ValueError(f"{path}: {fault} {what}field(s) {', '.join(map(repr, names))}")
+    for name, like in expected.items():
+        if type(obj[name]) is not type(like):
+            raise ValueError(f"{path}: {what}field {name!r}: expected "
+                             f"{type(like).__name__}, got {obj[name]!r}")
 
 
 def new_model(kind, enc_config, vocab, label_set, s_max, seed=0):

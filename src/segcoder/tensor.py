@@ -246,26 +246,39 @@ def gelu(a):
                  lambda g: (kernels.active.gelu_bwd(g, a.data),))
 
 
-def softmax(a):
-    """Numerically stable softmax over the last axis (max-subtraction)."""
-    shape, n = a.data.shape, a.data.shape[-1]
-    y2 = kernels.active.softmax_fwd(np.ascontiguousarray(a.data.reshape(-1, n)))
+def softmax(a, key_mask=None, scale=None):
+    """Numerically stable softmax over the last axis (max-subtraction).
+
+    Attention first multiplies by ``scale`` and sets the keys True in
+    ``key_mask`` to MASK_FILL_VALUE; those get zero gradient, even in a
+    fully masked row, whose weights come out uniform."""
+    x = a.data
+    if scale is not None:
+        scale = x.dtype.type(scale)
+        x = x * scale
+    if key_mask is not None:
+        x = np.where(key_mask, x.dtype.type(MASK_FILL_VALUE), x)
+    shape, n = x.shape, x.shape[-1]
+    y2 = kernels.active.softmax_fwd(np.ascontiguousarray(x.reshape(-1, n)))
 
     def backward(g):
-        dx2 = kernels.active.softmax_bwd(np.ascontiguousarray(g.reshape(-1, n)), y2)
-        return (dx2.reshape(shape),)
+        dx = kernels.active.softmax_bwd(
+            np.ascontiguousarray(g.reshape(-1, n)), y2).reshape(shape)
+        if key_mask is not None:
+            dx = np.where(key_mask, 0.0, dx)
+        return (dx if scale is None else dx * scale,)
     return _make(y2.reshape(shape), (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):
     """Per-row normalization over the last axis, then affine scale/shift."""
     d = x.data.shape[-1]
-    x2 = np.ascontiguousarray(x.data.reshape(-1, d))
-    y2, mean, rstd = kernels.active.layernorm_fwd(x2, gamma.data, beta.data, eps)
+    y2, xhat, rstd = kernels.active.layernorm_fwd(
+        np.ascontiguousarray(x.data.reshape(-1, d)), gamma.data, beta.data, eps)
 
     def backward(g):
         dx2, dgamma, dbeta = kernels.active.layernorm_bwd(
-            np.ascontiguousarray(g.reshape(-1, d)), x2, gamma.data, mean, rstd)
+            np.ascontiguousarray(g.reshape(-1, d)), xhat, gamma.data, rstd)
         return dx2.reshape(x.data.shape), dgamma, dbeta
     return _make(y2.reshape(x.data.shape), (x, gamma, beta), backward)
 
@@ -287,13 +300,6 @@ def embedding_gather(table, ids):
         kernels.active.scatter_add(dtable, ids.reshape(-1), g.reshape(-1, dtable.shape[1]))
         return (dtable,)
     return _make(table.data[ids], (table,), backward)
-
-
-def mask_fill(a, mask, value=MASK_FILL_VALUE):
-    """Replace entries where ``mask`` is True; their gradient is zero."""
-    mask = np.asarray(mask, dtype=bool)
-    return _make(np.where(mask, a.data.dtype.type(value), a.data), (a,),
-                 lambda g: (np.where(mask, 0.0, g),))
 
 
 def concat_rows(tensors):

@@ -65,6 +65,8 @@ class TokenSequence:
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
+        if self.s < 0:
+            raise ValueError(f"real length {self.s} is negative")
         if self.s > len(self.ids):
             raise ValueError(f"real length {self.s} exceeds id count {len(self.ids)}")
 

@@ -23,9 +23,7 @@ from .tensor import (
     embedding_gather,
     gelu,
     layer_norm,
-    mask_fill,
     matmul,
-    mul,
     reshape,
     slice_rows,
     softmax,
@@ -196,9 +194,7 @@ def encode_segment(params, config, segment_ids, pad_mask):
         q = split_heads(_linear(x, blk["q_w"], blk["q_b"]))
         k = split_heads(_linear(x, blk["k_w"], blk["k_b"]))
         v = split_heads(_linear(x, blk["v_w"], blk["v_b"]))
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
-        scores = mask_fill(scores, key_mask)
-        attn = softmax(scores)
+        attn = softmax(matmul(q, transpose(k, (0, 1, 3, 2))), key_mask, scale)
         ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (w * n, d))
         x = layer_norm(
             add(x, _linear(ctx, blk["o_w"], blk["o_b"])),

@@ -5,6 +5,10 @@ Analytic gradients come from the reverse-mode pass; the oracle perturbs
 each input scalar by +-h on a float64 path and compares. Keeping the oracle
 here makes every gradient test in the suite use the same comparison rule.
 
+``composed_masked_softmax`` is the attention softmax as three ops, a
+scale ``mul``, a masked fill and a plain ``softmax``: the oracle the
+one-node ``softmax(a, key_mask, scale)`` must match bit for bit.
+
 ``per_note_probs`` and ``per_note_batch_loss`` are reference versions of
 ``CodingModel.probs`` and ``training.batch_loss`` that work one note at a
 time: one Tensor[K] and one summed binary cross-entropy chain per note,
@@ -17,7 +21,8 @@ import pytest
 from segcoder.cnn import encode_cnn
 from segcoder.label_attention import predict
 from segcoder.segments import encode_long, plan_segments
-from segcoder.tensor import Tensor, add, clamp, log, mul, no_grad, sub, tensor_sum
+from segcoder.tensor import (MASK_FILL_VALUE, Tensor, _make, add, clamp, log, mul,
+                             no_grad, softmax, sub, tensor_sum)
 from segcoder.tokenizer import pad_to_multiple, truncate
 from segcoder.transformer import encode_segment
 
@@ -83,6 +88,15 @@ def gradcheck(fn, arrays, rtol=1e-4, atol=1e-7, h=FD_H):
                for a in arrays]
     param_gradcheck(tensors, lambda: fn(*tensors), rtol=rtol, atol=atol, h=h)
     return tensors
+
+
+def composed_masked_softmax(a, key_mask, scale):
+    """softmax(fill(a * scale)), where the fill sets entries at ``key_mask``
+    to MASK_FILL_VALUE and gives them zero gradient."""
+    scaled = mul(a, scale)
+    filled = _make(np.where(key_mask, scaled.data.dtype.type(MASK_FILL_VALUE), scaled.data),
+                   (scaled,), lambda g: (np.where(key_mask, 0.0, g),))
+    return softmax(filled)
 
 
 def per_note_probs(model, seq):

@@ -120,7 +120,7 @@ def test_criterion_2_gradient_correctness():
         ("layer_norm", lambda a, g, b: T.layer_norm(a, g, b),
          [arr(3, 4), np.abs(arr(4)) + 0.5, arr(4)]),
         ("embedding_gather", lambda t: T.embedding_gather(t, ids), [arr(5, 4)]),
-        ("mask_fill", lambda a: T.mask_fill(a, mask, value=0.5), [arr(2, 3)]),
+        ("masked softmax", lambda a: T.softmax(a, mask, 0.5), [arr(2, 3)]),
         ("concat_rows", lambda a, b: T.concat_rows([a, b]), [arr(2, 4), arr(3, 4)]),
         ("slice_rows", lambda a: T.slice_rows(a, 1, 3), [arr(4, 3)]),
         # its own generator, so the composed model below keeps its weights
@@ -232,7 +232,7 @@ def test_criterion_4_attention_invariants():
         scores = rng.normal(size=(n, n))
         pad = np.zeros(n, dtype=bool)
         pad[int(rng.integers(1, n)):] = True
-        masked = T.softmax(T.mask_fill(T.Tensor(scores), pad[None, :])).data
+        masked = T.softmax(T.Tensor(scores), key_mask=pad[None, :]).data
         assert np.all(masked[:, pad] == 0.0)
         assert np.allclose(masked.sum(axis=1), 1.0, atol=1e-6)
 

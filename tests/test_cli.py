@@ -176,8 +176,9 @@ class TestTrain:
         (["--hidden", "0"], "got hidden 0, heads 2, seg_len 8"),
         (["--encoder", "cnn", "--cnn-filters", "0"], "must be >= 1, got 100, 0, 2500"),
         (["--encoder", "cnn", "--cnn-kernel", "4"], "kernel width must be odd"),
+        (["--max-seq-len", "0"], "max_seq_len must be >= 1, got 0"),
     ], ids=["hidden-not-divisible", "seg-len-past-positions", "seg-len-zero", "heads-zero",
-            "hidden-zero", "cnn-filters-zero", "cnn-kernel-even"])
+            "hidden-zero", "cnn-filters-zero", "cnn-kernel-even", "max-seq-len-zero"])
     def test_unbuildable_encoder_is_usage_error(self, corpus_dir, tmp_path, capsys,
                                                 flags, named):
         rc = main([
@@ -312,6 +313,16 @@ class TestPredict:
         assert rc == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_text_and_file_together_is_usage_error(self, checkpoint_dir, tmp_path,
+                                                   capsys):
+        note = tmp_path / "note.txt"
+        note.write_text("w00003 w00004 w00005")
+        rc = main(["predict", "--checkpoint", str(checkpoint_dir),
+                   "--text", "w00001", "--file", str(note)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "error: pass either --text or --file, not both"
+
     def test_bad_top_n(self, checkpoint_dir, capsys):
         rc = main(["predict", "--checkpoint", str(checkpoint_dir),
                    "--text", "w00001", "--top-n", "0"])
@@ -329,7 +340,20 @@ class TestPredict:
         (lambda cfg: cfg.pop("kind"), "missing field(s) 'kind'"),
         (lambda cfg: cfg.update(kind="rnn"), "got 'rnn'"),
         (lambda cfg: cfg["encoder"].update(heads=3), "not divisible by heads 3"),
-    ], ids=["extra-key", "missing-key", "unknown-kind", "invalid-value"])
+        (lambda cfg: cfg.update(s_max=-5), "field 's_max' must be >= 1, got -5"),
+        (lambda cfg: cfg.update(s_max=0), "field 's_max' must be >= 1, got 0"),
+        (lambda cfg: cfg.update(s_max=3.7), "field 's_max': expected int, got 3.7"),
+        (lambda cfg: cfg.update(s_max=True), "field 's_max': expected int, got True"),
+        (lambda cfg: cfg.update(s_max="12"), "field 's_max': expected int, got '12'"),
+        (lambda cfg: cfg["encoder"].update(hidden=8.0),
+         "encoder field 'hidden': expected int, got 8.0"),
+        (lambda cfg: cfg["encoder"].update(heads=True),
+         "encoder field 'heads': expected int, got True"),
+        (lambda cfg: cfg["encoder"].update(include_pooler="no"),
+         "encoder field 'include_pooler': expected bool, got 'no'"),
+    ], ids=["extra-key", "missing-key", "unknown-kind", "invalid-value",
+            "s_max-negative", "s_max-zero", "s_max-float", "s_max-bool", "s_max-string",
+            "hidden-float", "heads-bool", "include_pooler-string"])
     def test_config_fault_is_located(self, checkpoint_dir, tmp_path, capsys,
                                      edit, named):
         ckpt = tmp_path / "ckpt"

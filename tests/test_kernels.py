@@ -36,12 +36,13 @@ class TestReference:
         x = rng.normal(size=(4, 7)).astype(np.float64)
         gamma = rng.normal(size=7) + 1.0
         beta = rng.normal(size=7)
-        y, mean, rstd = impl.layernorm_fwd(x, gamma, beta, 1e-12)
+        y, xhat, rstd = impl.layernorm_fwd(x, gamma, beta, 1e-12)
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        expected = (x - mu) / np.sqrt(var + 1e-12) * gamma + beta
-        np.testing.assert_allclose(y, expected, rtol=1e-9)
-        np.testing.assert_allclose(mean, mu.reshape(-1), rtol=1e-12)
+        expected_xhat = (x - mu) / np.sqrt(var + 1e-12)
+        np.testing.assert_allclose(xhat, expected_xhat, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(rstd, 1.0 / np.sqrt(var.reshape(-1) + 1e-12), rtol=1e-12)
+        np.testing.assert_allclose(y, expected_xhat * gamma + beta, rtol=1e-9)
 
     def test_adam_update_first_step(self, impl):
         p = np.array([1.0, -2.0, 0.5], dtype=np.float64)

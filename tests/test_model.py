@@ -53,6 +53,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="kind"):
             new_model("rnn", CnnConfig(), make_vocab(), LabelSet(["A"]), s_max=8)
 
+    @pytest.mark.parametrize("s_max", [0, -3])
+    def test_rejects_input_length_below_one(self, s_max):
+        with pytest.raises(ValueError, match=f"s_max must be >= 1, got {s_max}"):
+            new_model("cnn", CnnConfig(embed_dim=6, filters=16, kernel=3),
+                      make_vocab(), LabelSet(["A"]), s_max=s_max)
+
     def test_rejects_empty_label_set(self):
         with pytest.raises(ValueError, match="empty"):
             new_model("cnn", CnnConfig(embed_dim=6, filters=16, kernel=3),

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import segcoder
-from conftest import fd_gradients, gradcheck
-from segcoder.tensor import (MASK_FILL_VALUE, Tensor, add, clamp, concat_rows,
-                             embedding_gather, gelu, layer_norm, log,
-                             mask_fill, matmul, mul, no_grad, reshape,
-                             sigmoid, slice_rows, softmax, sub, tanh,
+from conftest import composed_masked_softmax, fd_gradients, gradcheck
+from segcoder.tensor import (Tensor, add, clamp, concat_rows, embedding_gather,
+                             gelu, layer_norm, log, matmul, mul, no_grad,
+                             reshape, sigmoid, slice_rows, softmax, sub, tanh,
                              tensor_sum, transpose, unfold_rows)
 
 SEEDS = range(20)
@@ -115,12 +114,10 @@ class TestForward:
         with pytest.raises(ValueError, match="2-D"):
             unfold_rows(Tensor(np.zeros(3)), 1)
 
-    def test_mask_fill_value_and_zero_after_softmax(self):
+    def test_masked_keys_get_exactly_zero_weight(self):
         x = Tensor(np.zeros((1, 4), dtype=np.float32), requires_grad=True)
         mask = np.array([[False, True, False, True]])
-        filled = mask_fill(x, mask)
-        assert filled.data[0, 1] == np.float32(MASK_FILL_VALUE)
-        probs = softmax(filled)
+        probs = softmax(x, key_mask=mask, scale=0.25)
         assert probs.data[0, 1] == 0.0 and probs.data[0, 3] == 0.0
         np.testing.assert_allclose(probs.data[0, [0, 2]], [0.5, 0.5], rtol=1e-6)
 
@@ -394,14 +391,40 @@ class TestGradients:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_masked_softmax_over_attention_scores(self, seed):
-        # the attention path: [windows, heads, queries, keys] scores with
-        # padded keys filled, then a softmax over every leading-axis row
+        # the attention path: [windows, heads, queries, keys] scores,
+        # scaled, padded keys masked, then a softmax over every row
         r = np.random.default_rng(seed)
         x = r.normal(size=(2, 3, 4, 5)) * 2
         key_mask = r.random(size=(2, 1, 1, 5)) < 0.4
         key_mask[..., 0] = False  # every row keeps a real key
         w = r.normal(size=(2, 3, 4, 5))
-        gradcheck(lambda t: weighted(softmax(mask_fill(t, key_mask)), w), [x])
+        gradcheck(lambda t: weighted(softmax(t, key_mask, 1 / np.sqrt(8)), w), [x])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [0.25, 0.125, 1 / np.sqrt(32)])
+    def test_masked_softmax_bit_identical_to_composition(self, dtype, scale):
+        # one node against the scale mul, fill and softmax it replaced,
+        # output and gradient bit for bit (zero signs included); window 1 is
+        # fully padded, so its weights are uniform and its gradient zero
+        r = np.random.default_rng(0)
+        x = (r.normal(size=(3, 2, 5, 5)) * 4).astype(dtype)
+        key_mask = r.random(size=(3, 1, 1, 5)) < 0.4
+        key_mask[0] = False
+        key_mask[1] = True
+        key_mask[2, ..., :2] = [False, True]
+        w = r.normal(size=x.shape).astype(dtype)
+        runs = []
+        for op in (softmax, composed_masked_softmax):
+            t = Tensor(x, requires_grad=True)
+            out = op(t, key_mask, scale)
+            weighted(out, w).backward()
+            runs.append((out.data, t.grad))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_allclose(runs[0][0][1], 0.2, rtol=1e-6)
+        assert np.all(runs[0][1][1] == 0.0)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_layer_norm(self, seed):
@@ -445,19 +468,12 @@ class TestGradients:
         gradcheck(lambda t: weighted(tensor_sum(t, axis=0), w3), [x])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_gather_mask_concat_slice(self, seed):
+    def test_gather_concat_slice(self, seed):
         r = np.random.default_rng(seed)
         table = r.normal(size=(5, 3))
         ids = np.array([0, 2, 2, 4, 1])
         w = r.normal(size=(5, 3))
         gradcheck(lambda t: weighted(embedding_gather(t, ids), w), [table])
-
-        x = r.normal(size=(2, 4))
-        mask = np.array([[False, True, False, False], [True, False, False, True]])
-        wm = r.normal(size=(2, 4))
-        # small fill value keeps the finite-difference probe well conditioned;
-        # the gradient rule (zero at masked entries) is value-independent
-        gradcheck(lambda t: weighted(mask_fill(t, mask, value=0.5), wm), [x])
 
         a, b = r.normal(size=(2, 3)), r.normal(size=(3, 3))
         wc = r.normal(size=(5, 3))

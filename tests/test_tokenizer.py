@@ -173,3 +173,9 @@ class TestTruncatePad:
     def test_length_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
             TokenSequence(ids=np.arange(2), s=3)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="real length -1 is negative"):
+            TokenSequence(ids=np.arange(2), s=-1)
+        with pytest.raises(ValueError, match="real length -5 is negative"):
+            truncate(TokenSequence(ids=np.arange(10), s=10), -5)

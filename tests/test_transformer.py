@@ -119,8 +119,8 @@ class TestEncodeSegment:
         captured = []
         orig = tr.softmax
 
-        def spy(x):
-            out = orig(x)
+        def spy(x, key_mask=None, scale=None):
+            out = orig(x, key_mask, scale)
             captured.append(out.data.copy())
             return out
 
@@ -133,6 +133,32 @@ class TestEncodeSegment:
             np.testing.assert_allclose(attn.sum(axis=-1),
                                        np.ones(attn.shape[:-1]), atol=1e-6)
             assert np.all(attn[..., mask] == 0.0)
+
+    def test_nodes_per_block_pinned(self, monkeypatch):
+        # a block records 29 nodes: the q, k and v linears (matmul, add) and
+        # head splits (reshape, transpose); k's transpose; q k^T; one
+        # attention softmax; attn v; the head merge (transpose, reshape);
+        # the o linear; a residual add; a layer norm; two FFN linears, GELU,
+        # a residual add and a layer norm. The embeddings and the output
+        # reshape of stacked windows record 8.
+        import segcoder.tensor as tensor_mod
+        recorded = []
+        orig = tensor_mod._make
+
+        def counting(data, parents, backward):
+            out = orig(data, parents, backward)
+            recorded.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(tensor_mod, "_make", counting)
+        ids = np.array([[1, 2, 3, 4], [5, 6, 0, 0]])
+        counts = []
+        for blocks in (1, 2):
+            cfg = EncoderConfig(**{**TINY, "num_blocks": blocks})
+            recorded.clear()
+            encode_segment(EncoderParams(cfg, np.random.default_rng(7)), cfg, ids, ids == 0)
+            counts.append(sum(recorded))
+        assert counts == [8 + 29, 8 + 2 * 29]
 
     def test_gradient_full_segment(self):
         cfg = EncoderConfig(**TINY)
