@@ -62,9 +62,6 @@ class CnnParams:
             ("cnn.conv_b", self.conv_b),
         ]
 
-    def tensors(self):
-        return [t for _, t in self.named()]
-
 
 def build_word_vocab(texts, min_freq=WORD_MIN_FREQ):
     """Word vocabulary from training texts: [PAD], [UNK], then all
@@ -79,7 +76,7 @@ def build_word_vocab(texts, min_freq=WORD_MIN_FREQ):
 def word_ids(text, vocab):
     """Whole-word lookup (no subword splitting); OOV words map to UNK."""
     ids = [vocab.token_to_id.get(w, vocab.unk_id) for w in text.lower().split()]
-    return TokenSequence(ids=np.asarray(ids, dtype=np.int64), s=len(ids))
+    return TokenSequence(ids)
 
 
 def encode_cnn(params, config, word_ids_arr):

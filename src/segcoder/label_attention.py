@@ -40,17 +40,6 @@ class LabelHeadParams:
     def named(self):
         return [("head.Q", self.Q), ("head.W", self.W), ("head.b", self.b)]
 
-    def tensors(self):
-        return [t for _, t in self.named()]
-
-
-def attention_param_count(hidden, num_classes):
-    return hidden * num_classes
-
-
-def classifier_param_count(hidden, num_classes):
-    return (hidden + 1) * num_classes
-
 
 def _require_tokens(E):
     if E.data.ndim != 2 or E.data.shape[0] < 1:

@@ -18,7 +18,7 @@ from .corpus import LabelSet
 from .label_attention import LabelHeadParams, predict
 from .segments import encode_long, plan_segments
 from .tensor import concat_rows, no_grad, reshape
-from .tokenizer import Vocab, pad_to_multiple, tokenize, truncate
+from .tokenizer import Vocab, tokenize, truncate
 from .transformer import EncoderConfig, EncoderParams, encode_segment
 
 CONFIG_NAME = "config.json"
@@ -78,11 +78,9 @@ class CodingModel:
             if seq.s == 0:
                 raise ValueError("cannot encode an empty token sequence")
             if self.kind == "transformer":
-                padded = pad_to_multiple(seq, cfg.seg_len, self.vocab.pad_id)
-                plan = plan_segments(len(padded.ids), cfg.seg_len)
-                hidden = encode_long(enc, padded, plan)
+                hidden = encode_long(enc, seq, plan_segments(seq.s, cfg.seg_len))
             else:
-                hidden = encode_cnn(self.enc_params, cfg, seq.ids[: seq.s])
+                hidden = encode_cnn(self.enc_params, cfg, seq.ids)
             rows.append(predict(hidden, self.head))
         return reshape(concat_rows(rows), (len(rows), self.num_classes))
 
@@ -136,16 +134,20 @@ def _read_config(path):
     """``(kind, encoder config, s_max)`` from a saved config.json. Every
     fault raises ValueError naming the file and the field. Checkpoints from
     before overlapping windows were removed hold ``"stride": 0``, which is
-    accepted; any other stride is refused."""
+    accepted; a nonzero or true stride asks for overlapping windows and any
+    other value is a type fault, so both are refused."""
     with open(path, encoding="utf-8") as f:
         try:
             cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: {e}") from e
     _check_fields(path, "", cfg, {"kind": "", "s_max": 1, "encoder": {}}, optional=("stride",))
-    if cfg.get("stride", 0) != 0:
-        raise ValueError(f"{path}: stride {cfg['stride']!r}: overlapping windows are "
+    stride = cfg.get("stride", 0)
+    if type(stride) in (int, bool) and stride:
+        raise ValueError(f"{path}: stride {stride!r}: overlapping windows are "
                          f"no longer supported; only disjoint windows (stride 0) load")
+    if type(stride) is not int:
+        raise ValueError(f"{path}: field 'stride': expected int, got {stride!r}")
     kind, s_max = cfg["kind"], cfg["s_max"]
     if kind not in KINDS:
         raise ValueError(f"{path}: encoder kind must be one of {KINDS}, got {kind!r}")

@@ -1,9 +1,10 @@
 """Long-document handling: window planning and batched window encoding.
 
-A padded token sequence is tiled by disjoint fixed-length windows. All
-windows are stacked and encoded in one batched pass, each attending only
-within itself, and the per-token vectors are joined back into one long
-sequence, so a token's representation depends only on its own window.
+A note of s tokens is tiled by ceil(s / seg_len) disjoint fixed-length
+windows, the last padded past s. This module is the one place that pads:
+all windows are stacked and encoded in one batched pass, each attending
+only within itself, and the per-token vectors are joined back into one
+long sequence, so a token's representation depends only on its own window.
 """
 
 from dataclasses import dataclass
@@ -16,38 +17,35 @@ from .tensor import reshape, slice_rows
 @dataclass
 class SegmentPlan:
     seg_len: int
-    segments: list          # (start, end) pairs tiling [0, padded_len)
-
-    @property
-    def padded_len(self):
-        return len(self.segments) * self.seg_len
+    segments: list          # (start, end) pairs tiling [0, W * seg_len)
 
 
-def plan_segments(padded_len, seg_len):
-    """Disjoint windows of ``seg_len`` tokens tiling a padded sequence whose
-    length is a multiple of ``seg_len``."""
-    if padded_len < seg_len:
-        raise ValueError(f"padded length {padded_len} shorter than segment {seg_len}")
-    if padded_len % seg_len != 0:
-        raise ValueError(
-            f"padded length {padded_len} is not a multiple of seg_len {seg_len}"
-        )
+def plan_segments(s, seg_len):
+    """The ceil(s / seg_len) disjoint windows of ``seg_len`` tokens that
+    cover a note of ``s`` >= 1 tokens."""
+    if s < 1 or seg_len < 1:
+        raise ValueError(f"need s >= 1 and seg_len >= 1, got s {s}, seg_len {seg_len}")
+    end = -(-s // seg_len) * seg_len
     return SegmentPlan(seg_len=seg_len,
-                       segments=[(s, s + seg_len) for s in range(0, padded_len, seg_len)])
+                       segments=[(i, i + seg_len) for i in range(0, end, seg_len)])
 
 
 def encode_long(encoder, seq, plan):
     """Joined per-token representations for a whole document.
 
-    ``encoder`` maps (ids, pad_mask) of shape [W, seg_len] to a
-    [W, seg_len, d] tensor, so every window of the plan is encoded in one
-    call. The windows' rows are stacked in order and the padded tail is
-    dropped, so the result has exactly ``seq.s`` rows.
+    ``plan`` must be ``plan_segments(seq.s, plan.seg_len)``. The ids are
+    written into zeroed ``[W, seg_len]`` windows (``[PAD]`` is id 0) and
+    ``encoder`` maps (ids, pad_mask) of that shape to a [W, seg_len, d]
+    tensor, so every window is encoded in one call. The windows' rows are
+    stacked in order and the padded tail is dropped, so the result has
+    exactly ``seq.s`` rows.
     """
-    padded = len(seq.ids)
-    if plan.padded_len != padded:
-        raise ValueError(f"plan covers {plan.padded_len} tokens, sequence has {padded}")
+    if plan != plan_segments(seq.s, plan.seg_len):
+        raise ValueError(f"plan of {len(plan.segments)} windows of {plan.seg_len} "
+                         f"does not tile {seq.s} tokens")
     shape = (len(plan.segments), plan.seg_len)
-    pad_mask = np.arange(padded) >= seq.s
-    out = encoder(np.asarray(seq.ids).reshape(shape), pad_mask.reshape(shape))
-    return slice_rows(reshape(out, (padded, out.data.shape[-1])), 0, seq.s)
+    ids = np.zeros(shape, dtype=np.int64)
+    ids.reshape(-1)[: seq.s] = seq.ids
+    pad_mask = (np.arange(ids.size) >= seq.s).reshape(shape)
+    out = encoder(ids, pad_mask)
+    return slice_rows(reshape(out, (ids.size, out.data.shape[-1])), 0, seq.s)

@@ -6,7 +6,6 @@ Continuation pieces carry the ``##`` prefix. Words are lowercased and split
 on whitespace/punctuation before greedy longest-match-first piece lookup.
 """
 
-import math
 import unicodedata
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ class Vocab:
             raise ValueError(f"vocabulary must place {PAD_TOKEN} at id 0")
         if UNK_TOKEN not in self.token_to_id:
             raise ValueError(f"vocabulary must contain {UNK_TOKEN}")
-        self.pad_id = 0
         self.unk_id = self.token_to_id[UNK_TOKEN]
 
     def __len__(self):
@@ -58,19 +56,15 @@ class Vocab:
 
 @dataclass
 class TokenSequence:
-    """Token ids plus the real (pre-padding) length ``s``."""
+    """The token ids of one note; ``s`` is their count."""
 
     ids: np.ndarray
-    s: int
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.s < 0:
-            raise ValueError(f"real length {self.s} is negative")
-        if self.s > len(self.ids):
-            raise ValueError(f"real length {self.s} exceeds id count {len(self.ids)}")
 
-    def __len__(self):
+    @property
+    def s(self):
         return len(self.ids)
 
 
@@ -137,24 +131,13 @@ def tokenize(text, vocab):
     ids = []
     for word in basic_split(text):
         ids.extend(wordpiece_word(word, vocab))
-    return TokenSequence(ids=np.asarray(ids, dtype=np.int64), s=len(ids))
+    return TokenSequence(ids)
 
 
 def truncate(seq, s_max):
     """First ``s_max`` tokens; a no-op when the sequence already fits."""
-    if seq.s <= s_max and len(seq.ids) <= s_max:
+    if s_max < 0:
+        raise ValueError(f"s_max {s_max} is negative")
+    if seq.s <= s_max:
         return seq
-    s = min(seq.s, s_max)
-    return TokenSequence(ids=seq.ids[:s_max].copy(), s=s)
-
-
-def pad_to_multiple(seq, seg_len, pad_id=0):
-    """Pad to ceil(s / seg_len) segments of ``seg_len`` tokens (one segment
-    when s = 0); the first s ids are never altered."""
-    if seg_len < 1:
-        raise ValueError(f"segment length must be >= 1, got {seg_len}")
-    tau = max(1, math.ceil(seq.s / seg_len))
-    target = tau * seg_len
-    ids = np.full(target, pad_id, dtype=np.int64)
-    ids[: seq.s] = seq.ids[: seq.s]
-    return TokenSequence(ids=ids, s=seq.s)
+    return TokenSequence(seq.ids[:s_max].copy())

@@ -1,9 +1,9 @@
 """Small bidirectional transformer encoder producing per-token vectors.
 
-One segment of ``seg_len`` token ids, or a stack of W such windows encoded
-in one pass, goes through token + position + type embeddings and
-``num_blocks`` post-layer-norm blocks (self-attention within each window
-with additive key masking of pad positions, then a GELU feed-forward).
+A stack of W windows of ``seg_len`` token ids, encoded in one pass, goes
+through token + position + type embeddings and ``num_blocks``
+post-layer-norm blocks (self-attention within each window with additive
+key masking of pad positions, then a GELU feed-forward).
 Defaults match the 2-block, 256-dim configuration whose total parameter count is
 9,591,040.
 
@@ -138,9 +138,6 @@ class EncoderParams:
             pairs.append(("pooler_b", self.pooler_b))
         return pairs
 
-    def tensors(self):
-        return [t for _, t in self.named()]
-
 
 def count_parameters(config):
     """Exact scalar count of an EncoderParams allocation for ``config``."""
@@ -158,29 +155,28 @@ def _linear(x, w, b):
 
 
 def encode_segment(params, config, segment_ids, pad_mask):
-    """Per-token representations for one segment or a stack of segments.
+    """Per-token representations for a stack of segments.
 
-    ``segment_ids`` holds ``seg_len`` ids, or ``[W, seg_len]`` ids for W
-    windows encoded in one pass; ``pad_mask`` has the same shape and is True
-    at padded positions, which are excluded as attention keys within their
-    own window. The result is ``[..., seg_len, d]``. Windows never see each
+    ``segment_ids`` holds ``[W, seg_len]`` ids for W windows encoded in one
+    pass; ``pad_mask`` has the same shape and is True at padded positions,
+    which are excluded as attention keys within their own window. The
+    result is ``[W, seg_len, d]``. Windows never see each
     other: the linears and layer norms act row by row over ``[W*seg_len, d]``
     and attention runs per window over ``[W, heads, seg_len, seg_len]``.
     Padded positions still produce output rows; callers drop them downstream.
     """
     ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.ndim not in (1, 2) or ids.shape[-1] != config.seg_len:
-        raise ValueError(
-            f"expected {config.seg_len} ids per window, got shape {ids.shape}")
+    if ids.ndim != 2 or ids.shape[1] != config.seg_len:
+        raise ValueError(f"expected {config.seg_len} ids per window as "
+                         f"[W, {config.seg_len}], got shape {ids.shape}")
     pad_mask = np.asarray(pad_mask, dtype=bool)
     if pad_mask.shape != ids.shape:
         raise ValueError(
             f"pad_mask shape {pad_mask.shape} must match segment_ids {ids.shape}")
-    windows = ids.reshape(-1, config.seg_len)
-    w, n = windows.shape
+    w, n = ids.shape
     d, a, dh = config.hidden, config.heads, config.head_dim
 
-    x = embedding_gather(params.token_emb, windows)               # [W, n, d]
+    x = embedding_gather(params.token_emb, ids)                   # [W, n, d]
     x = add(x, slice_rows(params.pos_emb, 0, n))
     x = add(x, slice_rows(params.type_emb, 0, 1))  # type-0 row, broadcast
     x = reshape(layer_norm(x, params.emb_ln_g, params.emb_ln_b), (w * n, d))
@@ -207,4 +203,4 @@ def encode_segment(params, config, segment_ids, pad_mask):
             blk["ffn_ln_g"],
             blk["ffn_ln_b"],
         )
-    return reshape(x, (w, n, d)) if ids.ndim == 2 else x
+    return reshape(x, (w, n, d))

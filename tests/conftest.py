@@ -23,7 +23,7 @@ from segcoder.label_attention import predict
 from segcoder.segments import encode_long, plan_segments
 from segcoder.tensor import (MASK_FILL_VALUE, Tensor, _make, add, clamp, log, mul,
                              no_grad, softmax, sub, tensor_sum)
-from segcoder.tokenizer import pad_to_multiple, truncate
+from segcoder.tokenizer import truncate
 from segcoder.transformer import encode_segment
 
 FD_H = 1e-4
@@ -109,13 +109,11 @@ def per_note_probs(model, seq):
         raise ValueError("cannot encode an empty token sequence")
     if model.kind == "transformer":
         cfg = model.enc_config
-        padded = pad_to_multiple(seq, cfg.seg_len, model.vocab.pad_id)
-        plan = plan_segments(len(padded.ids), cfg.seg_len)
         def enc(ids, pad_mask):
             return encode_segment(model.enc_params, cfg, ids, pad_mask)
-        hidden = encode_long(enc, padded, plan)
+        hidden = encode_long(enc, seq, plan_segments(seq.s, cfg.seg_len))
     else:
-        hidden = encode_cnn(model.enc_params, model.enc_config, seq.ids[: seq.s])
+        hidden = encode_cnn(model.enc_params, model.enc_config, seq.ids)
     return predict(hidden, model.head)
 
 

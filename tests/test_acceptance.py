@@ -17,14 +17,12 @@ import segcoder.tensor as T
 from segcoder.cnn import CnnConfig, build_word_vocab
 from segcoder.corpus import (LabelSet, Note, SyntheticSpec, generate_synthetic,
                              load_corpus)
-from segcoder.label_attention import (LabelHeadParams, attention_param_count,
-                                      attention_weights, classifier_param_count,
-                                      predict)
+from segcoder.label_attention import LabelHeadParams, attention_weights, predict
 from segcoder.metrics import (PredictionSet, best_threshold, confusion_at,
                               default_grid, label_matrix, micro_f1, pr_auc, roc_auc)
 from segcoder.model import CodingModel, new_model
 from segcoder.segments import encode_long, plan_segments
-from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab, pad_to_multiple
+from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
 from segcoder.training import (TrainConfig, bce_loss, evaluate_model,
                                prepare_examples, train_loop, train_step)
 from segcoder.transformer import EncoderConfig, EncoderParams, count_parameters, encode_segment
@@ -70,8 +68,9 @@ def test_criterion_1_parameter_accounting():
                         vocab_size=30522, max_positions=512, type_vocab=2,
                         seg_len=512, include_pooler=True)
     encoder_total = count_parameters(cfg)
-    attn = {k: attention_param_count(256, k) for k in (50, 8_921, 72_748)}
-    clf = {k: classifier_param_count(256, k) for k in (50, 8_921, 72_748)}
+    heads = {k: dict(LabelHeadParams(k, 256, rng=None).named()) for k in (50, 8_921, 72_748)}
+    attn = {k: h["head.Q"].data.size for k, h in heads.items()}
+    clf = {k: h["head.W"].data.size + h["head.b"].data.size for k, h in heads.items()}
     ok = (encoder_total == 9_591_040
           and attn == {50: 12_800, 8_921: 2_283_776, 72_748: 18_623_488}
           and clf == {50: 12_850, 8_921: 2_292_697, 72_748: 18_696_236})
@@ -138,18 +137,18 @@ def test_criterion_2_gradient_correctness():
                         seg_len=4, include_pooler=False)
     params = EncoderParams(cfg, rng, dtype=np.float64)
     head = LabelHeadParams(3, 8, rng, dtype=np.float64)
-    seq = TokenSequence(ids=rng.integers(0, 12, size=10), s=10)
-    padded = pad_to_multiple(seq, cfg.seg_len, 0)
-    plan = plan_segments(len(padded.ids), cfg.seg_len)
+    seq = TokenSequence(rng.integers(0, 12, size=10))
+    plan = plan_segments(seq.s, cfg.seg_len)
     labels = label_matrix([[0, 2]], 3)
 
     def loss():
         enc = lambda i, m: encode_segment(params, cfg, i, m)
-        return bce_loss(T.reshape(predict(encode_long(enc, padded, plan), head), (1, 3)),
+        return bce_loss(T.reshape(predict(encode_long(enc, seq, plan), head), (1, 3)),
                         labels)
 
-    tensors = params.tensors() + head.tensors()
-    names = [n for n, _ in params.named()] + [n for n, _ in head.named()]
+    named = params.named() + head.named()
+    tensors = [t for _, t in named]
+    names = [n for n, _ in named]
     param_gradcheck(tensors, loss, rtol=1e-3, names=names)
     report(2, True, f"{len(ops)} ops at rel err < 1e-4, composed model "
                     f"({sum(t.data.size for t in tensors)} params) at < 1e-3 "
@@ -171,25 +170,25 @@ def test_criterion_3_segment_equivalence_and_locality():
     max_diff = 0.0
     for s in (1, 5, 8):
         ids = rng.integers(1, 20, size=s)
-        seq = pad_to_multiple(TokenSequence(ids=ids, s=s), cfg.seg_len, 0)
-        plan = plan_segments(len(seq.ids), cfg.seg_len)
+        padded = np.zeros(cfg.seg_len, dtype=np.int64)
+        padded[:s] = ids
         with T.no_grad():
-            long_out = encode_long(enc, seq, plan).data
-            single = encode_segment(params, cfg, seq.ids,
-                                    np.arange(cfg.seg_len) >= s).data[:s]
+            long_out = encode_long(enc, TokenSequence(ids), plan_segments(s, cfg.seg_len)).data
+            single = encode_segment(params, cfg, padded[None],
+                                    (np.arange(cfg.seg_len) >= s)[None]).data[0, :s]
         max_diff = max(max_diff, float(np.max(np.abs(long_out - single))))
     equiv_ok = max_diff <= 1e-6
 
     s = 3 * cfg.seg_len
     ids = rng.integers(1, 20, size=s)
-    seq = TokenSequence(ids=ids, s=s)
+    seq = TokenSequence(ids)
     plan = plan_segments(s, cfg.seg_len)
     with T.no_grad():
         base = encode_long(enc, seq, plan).data
     edited = ids.copy()
     edited[2 * cfg.seg_len + 3] = (edited[2 * cfg.seg_len + 3] % 19) + 1
     with T.no_grad():
-        after = encode_long(enc, TokenSequence(ids=edited, s=s), plan).data
+        after = encode_long(enc, TokenSequence(edited), plan).data
     local_ok = bool(np.array_equal(base[: 2 * cfg.seg_len], after[: 2 * cfg.seg_len]))
     changed = not np.array_equal(base[2 * cfg.seg_len:], after[2 * cfg.seg_len:])
 

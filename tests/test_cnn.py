@@ -144,7 +144,7 @@ class TestMatchesOracle:
                                          dtype=dtype)
             out = encode(params, config, ids)
             tensor_sum(mul(out, Tensor(w))).backward()
-            results.append([out.data] + [t.grad for t in params.tensors()])
+            results.append([out.data] + [t.grad for _, t in params.named()])
         names = ["output", "word_emb", "conv_w", "conv_b"]
         for name, want, got in zip(names, *results):
             assert got.dtype == dtype
@@ -187,8 +187,9 @@ class TestGradients:
         head = LabelHeadParams(2, 2, rng, dtype=np.float64)
         ids = np.array([1, 4, 1, 6])  # repeated id exercises scatter-add
         w = rng.normal(size=2)
-        tensors = params.tensors() + head.tensors()
-        names = [n for n, _ in params.named()] + [n for n, _ in head.named()]
+        named = params.named() + head.named()
+        tensors = [t for _, t in named]
+        names = [n for n, _ in named]
 
         def loss():
             return tensor_sum(mul(predict(encode_cnn(params, config, ids), head), Tensor(w)))

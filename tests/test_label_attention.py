@@ -10,9 +10,7 @@ import pytest
 from segcoder.label_attention import (
     BLOCK,
     LabelHeadParams,
-    attention_param_count,
     attention_weights,
-    classifier_param_count,
     predict,
 )
 from segcoder.tensor import (Tensor, add, matmul, mul, reshape, sigmoid, softmax,
@@ -196,13 +194,15 @@ class TestParamCounts:
         (256, 72_748, 18_623_488, 18_696_236),
     ])
     def test_reference_configurations(self, d, K, attn, clf):
-        assert attention_param_count(d, K) == attn
-        assert classifier_param_count(d, K) == clf
+        # attention holds Q [K, d]; the classifiers hold W [K, d] and b [K]
+        sizes = {n: t.data.size for n, t in LabelHeadParams(K, d, rng=None).named()}
+        assert sizes["head.Q"] == attn
+        assert sizes["head.W"] + sizes["head.b"] == clf
 
     def test_counts_match_allocation(self, rng):
         head = LabelHeadParams(11, 6, rng)
-        total = sum(t.data.size for t in head.tensors())
-        assert total == attention_param_count(6, 11) + classifier_param_count(6, 11)
+        assert [(n, t.data.shape) for n, t in head.named()] == [
+            ("head.Q", (11, 6)), ("head.W", (11, 6)), ("head.b", (11,))]
 
 
 class TestGradients:
@@ -210,7 +210,7 @@ class TestGradients:
         E = Tensor(rng.normal(size=(5, 4)).astype(np.float64), requires_grad=True)
         head = LabelHeadParams(3, 4, rng, dtype=np.float64)
         w = rng.normal(size=3)
-        params = [E] + head.tensors()
+        params = [E] + [t for _, t in head.named()]
         names = ["E", "Q", "W", "b"]
 
         def loss():

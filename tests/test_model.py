@@ -194,12 +194,24 @@ class TestPersistence:
         after = text_probs(CodingModel.load(tmp_path / "ckpt"), text)
         assert np.array_equal(text_probs(model, text).view(np.uint32), after.view(np.uint32))
 
-    def test_legacy_overlap_stride_refused(self, tmp_path):
+    @pytest.mark.parametrize("stride", [3, 1, True])
+    def test_legacy_overlap_stride_refused(self, tmp_path, stride):
         transformer_model().save(tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "config.json"
-        path.write_text(json.dumps(dict(json.loads(path.read_text()), stride=3)))
-        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: stride 3: overlapping "
-                                                             "windows are no longer supported")):
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), stride=stride)))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: stride {stride!r}: "
+                                                             "overlapping windows are no "
+                                                             "longer supported")):
+            CodingModel.load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("stride", [False, 0.0, "0", None])
+    def test_legacy_stride_of_another_type_refused(self, tmp_path, stride):
+        # only an int 0 loads; a value merely equal to 0 is a type fault
+        transformer_model().save(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "config.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), stride=stride)))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: field 'stride': "
+                                                             f"expected int, got {stride!r}")):
             CodingModel.load(tmp_path / "ckpt")
 
     def test_parameter_names_stable(self, tmp_path):
@@ -279,7 +291,7 @@ class TestBatchedEncoding:
         monkeypatch.setattr(model_mod, "encode_segment", counting_encode)
         monkeypatch.setattr(kernels.active, "scatter_add", counting_scatter)
         ids = np.random.default_rng(3).integers(2, 10, size=37)
-        tensor_sum(model.probs([TokenSequence(ids=ids, s=37)])).backward()
+        tensor_sum(model.probs([TokenSequence(ids)])).backward()
         assert calls == {"encode_segment": 1, "scatter_add": 1}
 
 
@@ -305,7 +317,7 @@ class TestProbsParity:
         with no_grad():
             got = model.probs([model.token_sequence(t) for t in texts]).data
             want = np.stack([
-                per_note_probs(model, TokenSequence(ids=np.array(note) + 2, s=len(note))).data
+                per_note_probs(model, TokenSequence(np.array(note) + 2)).data
                 for note in notes])
         assert_parity(got, want, np.float32)
 
@@ -317,7 +329,7 @@ class TestProbsParity:
         for _, t in model.named_parameters():
             t.data = t.data.astype(dtype)
         rng = np.random.default_rng(len(lengths))
-        seqs = [TokenSequence(ids=rng.integers(2, 10, size=n), s=n) for n in lengths]
+        seqs = [TokenSequence(rng.integers(2, 10, size=n)) for n in lengths]
         weights = rng.normal(size=(len(seqs), model.num_classes)).astype(dtype)
 
         got, got_grads = loss_and_grads(

@@ -1,5 +1,7 @@
 """Window planning and long-document stitching semantics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import param_gradcheck
 from segcoder.segments import encode_long, plan_segments
-from segcoder.tensor import Tensor, concat_rows, mul, no_grad, slice_rows, tensor_sum
-from segcoder.tokenizer import TokenSequence, pad_to_multiple
+from segcoder.tensor import Tensor, concat_rows, mul, no_grad, reshape, slice_rows, tensor_sum
+from segcoder.tokenizer import TokenSequence
 from segcoder.transformer import EncoderConfig, EncoderParams, encode_segment
 
 TINY = dict(num_blocks=1, hidden=8, heads=2, intermediate=16, vocab_size=12,
@@ -27,83 +29,86 @@ def tiny_encoder(seed=7, dtype=np.float32):
 
 def encode_long_oracle(encoder, seq, plan):
     """Reference oracle: the per-window loop the batched ``encode_long``
-    replaced. One encoder call per window, the rows concatenated, then the
-    padded tail dropped."""
-    pad_mask = np.arange(len(seq.ids)) >= seq.s
-    pieces = [encoder(seq.ids[start:end], pad_mask[start:end])
-              for start, end in plan.segments]
+    replaced. The ids are zero-padded to whole windows, the encoder is
+    called once per window, the rows concatenated, then the padded tail
+    dropped."""
+    n = len(plan.segments) * plan.seg_len
+    ids = np.zeros(n, dtype=np.int64)
+    ids[: seq.s] = seq.ids
+    pad_mask = np.arange(n) >= seq.s
+    pieces = []
+    for start, end in plan.segments:
+        out = encoder(ids[None, start:end], pad_mask[None, start:end])
+        pieces.append(reshape(out, (end - start, out.data.shape[-1])))
     return slice_rows(concat_rows(pieces), 0, seq.s)
 
 
 class TestPlanSegments:
     def test_disjoint_two_windows(self):
-        plan = plan_segments(1024, 512)
-        assert plan.segments == [(0, 512), (512, 1024)]
-        assert plan.padded_len == 1024
+        assert plan_segments(1024, 512).segments == [(0, 512), (512, 1024)]
 
     def test_single_window(self):
         for seg in (1, 4, 512):
-            plan = plan_segments(seg, seg)
-            assert plan.segments == [(0, seg)]
-            assert plan.padded_len == seg
+            assert plan_segments(seg, seg).segments == [(0, seg)]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seg=st.integers(1, 48), windows=st.integers(1, 8))
-    @example(seg=4, windows=3)
-    def test_every_position_covered_exactly_once(self, seg, windows):
-        padded = seg * windows
-        plan = plan_segments(padded, seg)
-        assert plan.seg_len == seg and plan.padded_len == padded
-        assert len(plan.segments) == windows
-        covered = np.zeros(padded, dtype=int)
-        for lo, hi in plan.segments:
-            assert hi - lo == seg
-            covered[lo:hi] += 1
-        assert np.all(covered == 1)
-        # windows are in order and contiguous
-        assert [lo for lo, _ in plan.segments] == list(range(0, padded, seg))
+    @given(s=st.integers(1, 400), seg=st.integers(1, 48), other=st.integers(1, 400))
+    @example(s=512, seg=512, other=1)      # exact multiple: no padding added
+    @example(s=513, seg=512, other=512)    # one token over: two windows
+    @example(s=8192, seg=512, other=8193)  # sixteen windows
+    def test_windows_tile_the_padded_note(self, s, seg, other):
+        plan = plan_segments(s, seg)
+        windows = math.ceil(s / seg)
+        assert plan.seg_len == seg
+        assert plan.segments == [(i * seg, (i + 1) * seg) for i in range(windows)]
 
-    def test_disjoint_requires_multiple(self):
-        with pytest.raises(ValueError):
-            plan_segments(10, 4)
+        calls = []
 
-    def test_shorter_than_one_window_rejected(self):
-        with pytest.raises(ValueError):
-            plan_segments(3, 4)
+        def encoder(ids, pad_mask):
+            # row i of the output holds position i
+            calls.append((ids, pad_mask))
+            return Tensor(np.arange(ids.size, dtype=np.float64).reshape(ids.shape + (1,)))
+
+        seq = TokenSequence(np.arange(s) % 7 + 1)
+        out = encode_long(encoder, seq, plan).data
+        np.testing.assert_array_equal(out[:, 0], np.arange(s))
+        (ids, pad_mask), = calls
+        assert ids.shape == pad_mask.shape == (windows, seg)
+        np.testing.assert_array_equal(ids.reshape(-1)[:s], seq.ids)
+        np.testing.assert_array_equal(ids.reshape(-1)[s:], 0)
+        np.testing.assert_array_equal(pad_mask.reshape(-1), np.arange(windows * seg) >= s)
+
+        if math.ceil(other / seg) == windows:
+            assert plan_segments(other, seg) == plan
+        else:
+            with pytest.raises(ValueError, match="does not tile"):
+                encode_long(encoder, seq, plan_segments(other, seg))
+        with pytest.raises(ValueError, match="s >= 1"):
+            plan_segments(0, seg)
 
 
 class TestEncodeLong:
     def test_single_segment_equivalence(self):
         enc, params, cfg = tiny_encoder()
-        seq = pad_to_multiple(TokenSequence(ids=np.array([3, 5, 1]), s=3), cfg.seg_len)
-        plan = plan_segments(len(seq.ids), cfg.seg_len)
+        seq = TokenSequence([3, 5, 1])
+        plan = plan_segments(seq.s, cfg.seg_len)
         with no_grad():
             long_out = encode_long(enc, seq, plan)
-            direct = enc(seq.ids, np.array([False, False, False, True]))
+            direct = enc(np.array([[3, 5, 1, 0]]), np.array([[False, False, False, True]]))
         assert long_out.data.shape == (3, cfg.hidden)
-        np.testing.assert_allclose(long_out.data, direct.data[:3], atol=1e-6)
+        np.testing.assert_allclose(long_out.data, direct.data[0, :3], atol=1e-6)
 
     def test_two_disjoint_segments_concatenate(self):
         enc, params, cfg = tiny_encoder()
         ids = np.arange(8) % 12
-        seq = TokenSequence(ids=ids, s=8)
+        seq = TokenSequence(ids)
         plan = plan_segments(8, 4)
         with no_grad():
             long_out = encode_long(enc, seq, plan)
-            first = enc(ids[:4], np.zeros(4, bool))
-            second = enc(ids[4:], np.zeros(4, bool))
-        np.testing.assert_array_equal(long_out.data[:4], first.data)
-        np.testing.assert_array_equal(long_out.data[4:], second.data)
-
-    def test_row_count_always_s(self):
-        enc, params, cfg = tiny_encoder()
-        for s in (1, 3, 4, 5, 9):
-            seq = pad_to_multiple(TokenSequence(ids=np.ones(s, dtype=np.int64), s=s),
-                                  cfg.seg_len)
-            plan = plan_segments(len(seq.ids), cfg.seg_len)
-            with no_grad():
-                out = encode_long(enc, seq, plan)
-            assert out.data.shape == (s, cfg.hidden)
+            first = enc(ids[None, :4], np.zeros((1, 4), bool))
+            second = enc(ids[None, 4:], np.zeros((1, 4), bool))
+        np.testing.assert_array_equal(long_out.data[:4], first.data[0])
+        np.testing.assert_array_equal(long_out.data[4:], second.data[0])
 
     def test_locality_bit_exact_under_distant_edit(self):
         enc, params, cfg = tiny_encoder()
@@ -112,20 +117,20 @@ class TestEncodeLong:
         ids_b[6] = 11  # edit inside the second window only
         plan = plan_segments(8, 4)
         with no_grad():
-            out_a = encode_long(enc, TokenSequence(ids=ids_a, s=8), plan)
-            out_b = encode_long(enc, TokenSequence(ids=ids_b, s=8), plan)
+            out_a = encode_long(enc, TokenSequence(ids_a), plan)
+            out_b = encode_long(enc, TokenSequence(ids_b), plan)
         np.testing.assert_array_equal(out_a.data[:4], out_b.data[:4])
         assert not np.array_equal(out_a.data[4:], out_b.data[4:])
 
     def test_plan_length_mismatch_rejected(self):
         enc, params, cfg = tiny_encoder()
-        seq = TokenSequence(ids=np.ones(8, dtype=np.int64), s=8)
+        seq = TokenSequence(np.ones(8, dtype=np.int64))
         with pytest.raises(ValueError):
             encode_long(enc, seq, plan_segments(12, 4))
 
     def test_gradients_flow_from_every_segment(self):
         enc, params, cfg = tiny_encoder()
-        seq = TokenSequence(ids=(np.arange(8) % 12), s=8)
+        seq = TokenSequence(np.arange(8) % 12)
         plan = plan_segments(8, 4)
         out = encode_long(enc, seq, plan)
         tensor_sum(out).backward()
@@ -137,7 +142,7 @@ class TestEncodeLong:
 
     def test_gradient_matches_finite_differences(self):
         enc, params, cfg = tiny_encoder(dtype=np.float64)
-        seq = TokenSequence(ids=(np.arange(8) % 12), s=8)
+        seq = TokenSequence(np.arange(8) % 12)
         plan = plan_segments(8, 4)
         probe = Tensor(np.random.default_rng(5).normal(size=(8, 8)))
 
@@ -170,10 +175,9 @@ class TestBatchedAgainstLoop:
         (7, 8),       # ragged s ending inside the second of two windows
     ])
     def test_output_and_gradients(self, s, padded, dtype, tol):
-        ids = np.random.default_rng(s * 7).integers(1, 12, size=padded)
-        ids[s:] = 0
-        seq = TokenSequence(ids=ids, s=s)
-        plan = plan_segments(padded, 4)
+        seq = TokenSequence(np.random.default_rng(s * 7).integers(1, 12, size=padded)[:s])
+        plan = plan_segments(s, 4)
+        assert len(plan.segments) * plan.seg_len == padded
         got = self._run(encode_long, dtype, seq, plan)
         want = self._run(encode_long_oracle, dtype, seq, plan)
         for (name, g), (_, w) in zip(got, want):
@@ -190,6 +194,6 @@ class TestBatchedAgainstLoop:
                          [False, True, True, True]])
         with no_grad():
             stacked = enc(ids, mask).data
-            single = np.stack([enc(i, m).data for i, m in zip(ids, mask)])
+            single = np.stack([enc(i[None], m[None]).data[0] for i, m in zip(ids, mask)])
         assert stacked.shape == (3, cfg.seg_len, cfg.hidden)
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-6)

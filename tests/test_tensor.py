@@ -311,21 +311,39 @@ def test_only_tensor_accumulates_gradients():
     assert offenders == []
 
 
-def test_tensor_module_keeps_only_what_the_package_runs():
-    # every public op has a caller elsewhere in the package, and Tensor has
-    # no operator sugar: the model composes the functional ops
+# only tests call it until the planned --explain output (ROADMAP item 3)
+# shows a code's attention over the note's tokens
+UNUSED_BY_DESIGN = ["label_attention.attention_weights"]
+
+
+def test_package_keeps_only_what_it_runs():
+    # every public function, and every public method of a public class, in
+    # any segcoder module is referenced from the package or the benchmark
+    # other than at its own definition, and Tensor has no operator sugar:
+    # the model composes the functional ops
     package = Path(segcoder.__file__).parent
-    tree = ast.parse((package / "tensor.py").read_text(encoding="utf-8"))
-    public = {n.name for n in tree.body
-              if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
-    imported = set()
-    for path in package.glob("*.py"):
-        if path.name == "tensor.py":
-            continue
+    bench = package.parent.parent / "segbench"
+    assert bench.is_dir()
+    names, attrs = set(), set()
+    for path in [*package.glob("*.py"), *bench.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "segcoder.tensor"):
-                imported.update(alias.name for alias in node.names)
-    assert sorted(public - imported) == []
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if node.name not in names | attrs:
+                    unused.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                unused += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                           and m.name not in attrs]
+    assert unused == UNUSED_BY_DESIGN
 
     binary = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow")
     dunders = [f"__{p}{op}__" for op in binary for p in ("", "r", "i")]

@@ -1,14 +1,12 @@
-"""WordPiece tokenizer: greedy longest match, special tokens, truncation
-and padding to a whole number of segments."""
+"""WordPiece tokenizer: greedy longest match, special tokens and
+truncation."""
 
 import numpy as np
 import pytest
 
 from segcoder.tokenizer import (PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab,
                                 _SPLIT_CACHE, _SPLIT_TABLE, _is_punctuation,
-                                basic_split,
-                                pad_to_multiple, tokenize, truncate,
-                                wordpiece_word)
+                                basic_split, tokenize, truncate, wordpiece_word)
 
 
 def toy_vocab(extra=()):
@@ -38,7 +36,7 @@ class TestVocab:
         v.save(path)
         v2 = Vocab.from_file(path)
         assert v2.tokens == v.tokens
-        assert v2.pad_id == 0 and v2.unk_id == v.unk_id
+        assert v2.tokens[0] == PAD_TOKEN and v2.unk_id == v.unk_id
 
 
 def loop_split(text):
@@ -137,45 +135,18 @@ class TestTokenize:
         np.testing.assert_array_equal(a.ids, b.ids)
 
 
-class TestTruncatePad:
+class TestTruncate:
     def test_truncate_noop_when_fits(self):
-        seq = TokenSequence(ids=np.arange(4), s=4)
+        seq = TokenSequence(np.arange(4))
         out = truncate(seq, 10)
         assert out.s == 4 and len(out.ids) == 4
 
     def test_truncate_cuts_to_s_max(self):
-        seq = TokenSequence(ids=np.arange(10), s=10)
+        seq = TokenSequence(np.arange(10))
         out = truncate(seq, 6)
         assert out.s == 6
         np.testing.assert_array_equal(out.ids, np.arange(6))
 
-    @pytest.mark.parametrize("s,seg,tau", [
-        (512, 512, 1),   # exact multiple: no padding added
-        (513, 512, 2),   # one token over: two segments
-        (8192, 512, 16),
-        (0, 512, 1),     # empty sequence still yields one segment
-        (1, 4, 1),
-        (5, 4, 2),
-    ])
-    def test_pad_to_multiple_tau(self, s, seg, tau):
-        seq = TokenSequence(ids=np.arange(s), s=s)
-        out = pad_to_multiple(seq, seg)
-        assert len(out.ids) == tau * seg
-        assert out.s == s
-        if s >= 1:
-            assert (tau - 1) * seg < s <= tau * seg
-
-    def test_pad_preserves_prefix_and_pads_zero(self):
-        seq = TokenSequence(ids=np.array([7, 8, 9]), s=3)
-        out = pad_to_multiple(seq, 4)
-        np.testing.assert_array_equal(out.ids, [7, 8, 9, 0])
-
-    def test_length_invariant_violation_rejected(self):
-        with pytest.raises(ValueError):
-            TokenSequence(ids=np.arange(2), s=3)
-
     def test_negative_length_rejected(self):
-        with pytest.raises(ValueError, match="real length -1 is negative"):
-            TokenSequence(ids=np.arange(2), s=-1)
-        with pytest.raises(ValueError, match="real length -5 is negative"):
-            truncate(TokenSequence(ids=np.arange(10), s=10), -5)
+        with pytest.raises(ValueError, match="s_max -5 is negative"):
+            truncate(TokenSequence(np.arange(10)), -5)

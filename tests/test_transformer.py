@@ -71,12 +71,16 @@ class TestEncodeSegment:
         self.params = EncoderParams(self.cfg, np.random.default_rng(7))
 
     def test_output_shape(self):
-        out = encode_segment(self.params, self.cfg, [1, 2, 3, 4], [False] * 4)
-        assert out.data.shape == (4, 8)
+        out = encode_segment(self.params, self.cfg, [[1, 2, 3, 4]], [[False] * 4])
+        assert out.data.shape == (1, 4, 8)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            encode_segment(self.params, self.cfg, [1, 2, 3], [False] * 3)
+            encode_segment(self.params, self.cfg, [[1, 2, 3]], [[False] * 3])
+
+    def test_single_unstacked_window_rejected(self):
+        with pytest.raises(ValueError, match="ids per window"):
+            encode_segment(self.params, self.cfg, [1, 2, 3, 4], [False] * 4)
 
     def test_stacked_windows_of_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="ids per window"):
@@ -92,26 +96,26 @@ class TestEncodeSegment:
 
     def test_id_out_of_range(self):
         with pytest.raises(IndexError):
-            encode_segment(self.params, self.cfg, [1, 2, 3, 10], [False] * 4)
+            encode_segment(self.params, self.cfg, [[1, 2, 3, 10]], [[False] * 4])
 
     def test_masked_positions_do_not_leak(self):
-        mask = [False, False, True, True]
+        mask = [[False, False, True, True]]
         with no_grad():
-            a = encode_segment(self.params, self.cfg, [1, 2, 3, 4], mask)
-            b = encode_segment(self.params, self.cfg, [1, 2, 5, 9], mask)
-        np.testing.assert_array_equal(a.data[:2], b.data[:2])
+            a = encode_segment(self.params, self.cfg, [[1, 2, 3, 4]], mask)
+            b = encode_segment(self.params, self.cfg, [[1, 2, 5, 9]], mask)
+        np.testing.assert_array_equal(a.data[0, :2], b.data[0, :2])
 
     def test_pad_tail_permutation_invariance(self):
-        mask = [False, False, True, True]
+        mask = [[False, False, True, True]]
         with no_grad():
-            a = encode_segment(self.params, self.cfg, [1, 2, 3, 4], mask)
-            b = encode_segment(self.params, self.cfg, [1, 2, 4, 3], mask)
-        np.testing.assert_array_equal(a.data[:2], b.data[:2])
+            a = encode_segment(self.params, self.cfg, [[1, 2, 3, 4]], mask)
+            b = encode_segment(self.params, self.cfg, [[1, 2, 4, 3]], mask)
+        np.testing.assert_array_equal(a.data[0, :2], b.data[0, :2])
 
     def test_deterministic(self):
         with no_grad():
-            a = encode_segment(self.params, self.cfg, [5, 6, 7, 8], [False] * 4)
-            b = encode_segment(self.params, self.cfg, [5, 6, 7, 8], [False] * 4)
+            a = encode_segment(self.params, self.cfg, [[5, 6, 7, 8]], [[False] * 4])
+            b = encode_segment(self.params, self.cfg, [[5, 6, 7, 8]], [[False] * 4])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_attention_rows_over_real_keys_sum_to_one(self, monkeypatch):
@@ -127,7 +131,7 @@ class TestEncodeSegment:
         monkeypatch.setattr(tr, "softmax", spy)
         mask = np.array([False, False, True, True])
         with no_grad():
-            encode_segment(self.params, self.cfg, [1, 2, 3, 4], mask)
+            encode_segment(self.params, self.cfg, [[1, 2, 3, 4]], mask[None])
         assert captured, "no attention softmax recorded"
         for attn in captured:
             np.testing.assert_allclose(attn.sum(axis=-1),
@@ -140,7 +144,7 @@ class TestEncodeSegment:
         # attention softmax; attn v; the head merge (transpose, reshape);
         # the o linear; a residual add; a layer norm; two FFN linears, GELU,
         # a residual add and a layer norm. The embeddings and the output
-        # reshape of stacked windows record 8.
+        # reshape record 8.
         import segcoder.tensor as tensor_mod
         recorded = []
         orig = tensor_mod._make
@@ -163,9 +167,9 @@ class TestEncodeSegment:
     def test_gradient_full_segment(self):
         cfg = EncoderConfig(**TINY)
         params = EncoderParams(cfg, np.random.default_rng(3), dtype=np.float64)
-        ids = np.array([1, 5, 2, 0])
-        mask = np.array([False, False, False, True])
-        w = np.random.default_rng(11).normal(size=(4, 8))
+        ids = np.array([[1, 5, 2, 0]])
+        mask = np.array([[False, False, False, True]])
+        w = np.random.default_rng(11).normal(size=(1, 4, 8))
         probe = Tensor(w)
 
         def loss():
