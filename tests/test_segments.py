@@ -52,16 +52,33 @@ class TestPlanSegments:
             assert plan_segments(seg, seg).segments == [(0, seg)]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(s=st.integers(1, 400), seg=st.integers(1, 48), other=st.integers(1, 400))
-    @example(s=512, seg=512, other=1)      # exact multiple: no padding added
-    @example(s=513, seg=512, other=512)    # one token over: two windows
-    @example(s=8192, seg=512, other=8193)  # sixteen windows
-    def test_windows_tile_the_padded_note(self, s, seg, other):
+    @given(s=st.integers(1, 400), seg=st.integers(1, 48))
+    @example(s=512, seg=512)   # exact multiple: no padding added
+    @example(s=513, seg=512)   # one token over: two windows
+    @example(s=8192, seg=512)  # sixteen windows
+    def test_every_position_covered_exactly_once(self, s, seg):
         plan = plan_segments(s, seg)
         windows = math.ceil(s / seg)
         assert plan.seg_len == seg
+        assert (windows - 1) * seg < s <= windows * seg
+        # contiguous, in order, each seg_len long: [0, W*seg_len) tiled once
         assert plan.segments == [(i * seg, (i + 1) * seg) for i in range(windows)]
 
+    def test_empty_note_rejected(self):
+        for seg in (1, 4, 512):
+            with pytest.raises(ValueError, match="s >= 1"):
+                plan_segments(0, seg)
+
+
+class TestEncodeLong:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s=st.integers(1, 400), seg=st.integers(1, 48), other=st.integers(1, 400))
+    @example(s=512, seg=512, other=1)
+    @example(s=513, seg=512, other=512)
+    @example(s=8192, seg=512, other=8193)
+    def test_windows_tile_the_padded_note(self, s, seg, other):
+        plan = plan_segments(s, seg)
+        windows = len(plan.segments)
         calls = []
 
         def encoder(ids, pad_mask):
@@ -83,11 +100,27 @@ class TestPlanSegments:
         else:
             with pytest.raises(ValueError, match="does not tile"):
                 encode_long(encoder, seq, plan_segments(other, seg))
-        with pytest.raises(ValueError, match="s >= 1"):
-            plan_segments(0, seg)
 
+    def test_row_count_always_s(self):
+        enc, params, cfg = tiny_encoder()
+        for s in (1, 3, 4, 5, 9):
+            seq = TokenSequence(np.ones(s, dtype=np.int64))
+            with no_grad():
+                out = encode_long(enc, seq, plan_segments(s, cfg.seg_len))
+            assert out.data.shape == (s, cfg.hidden)
 
-class TestEncodeLong:
+    def test_pad_preserves_prefix_and_pads_zero(self):
+        calls = []
+
+        def encoder(ids, pad_mask):
+            calls.append((ids, pad_mask))
+            return Tensor(np.zeros(ids.shape + (1,)))
+
+        encode_long(encoder, TokenSequence([7, 8, 9]), plan_segments(3, 4))
+        (ids, pad_mask), = calls
+        np.testing.assert_array_equal(ids, [[7, 8, 9, 0]])
+        np.testing.assert_array_equal(pad_mask, [[False, False, False, True]])
+
     def test_single_segment_equivalence(self):
         enc, params, cfg = tiny_encoder()
         seq = TokenSequence([3, 5, 1])

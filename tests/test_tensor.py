@@ -319,8 +319,7 @@ UNUSED_BY_DESIGN = ["label_attention.attention_weights"]
 def test_package_keeps_only_what_it_runs():
     # every public function, and every public method of a public class, in
     # any segcoder module is referenced from the package or the benchmark
-    # other than at its own definition, and Tensor has no operator sugar:
-    # the model composes the functional ops
+    # other than at its own definition
     package = Path(segcoder.__file__).parent
     bench = package.parent.parent / "segbench"
     assert bench.is_dir()
@@ -345,6 +344,9 @@ def test_package_keeps_only_what_it_runs():
                            and m.name not in attrs]
     assert unused == UNUSED_BY_DESIGN
 
+
+def test_tensor_has_no_operator_sugar():
+    # the model composes the functional ops
     binary = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow")
     dunders = [f"__{p}{op}__" for op in binary for p in ("", "r", "i")]
     dunders += ["__neg__", "__pos__", "__abs__"]

@@ -135,6 +135,18 @@ class TestTokenize:
         np.testing.assert_array_equal(a.ids, b.ids)
 
 
+class TestTokenSequence:
+    def test_length_invariant_violation_rejected(self):
+        # s is the id count: it can be neither passed nor set apart from ids
+        seq = TokenSequence(np.arange(2))
+        assert seq.s == 2
+        with pytest.raises(TypeError):
+            TokenSequence(ids=np.arange(2), s=3)
+        with pytest.raises(AttributeError):
+            seq.s = 3
+        assert seq.s == 2
+
+
 class TestTruncate:
     def test_truncate_noop_when_fits(self):
         seq = TokenSequence(np.arange(4))
