@@ -36,8 +36,10 @@ class LabelSet:
     """
 
     def __init__(self, codes):
-        self.codes = sorted(set(codes))
-        self.code_to_index = {c: i for i, c in enumerate(self.codes)}
+        # dict.fromkeys keeps first-seen order, so the sort of a saved
+        # (already sorted) code list is one pass
+        self.codes = sorted(dict.fromkeys(codes))
+        self.code_to_index = dict(zip(self.codes, range(len(self.codes))))
 
     def __len__(self):
         return len(self.codes)
@@ -55,9 +57,11 @@ class LabelSet:
 
     @classmethod
     def from_file(cls, path):
+        """One code per line, ended by LF, CRLF or CR, stripped of
+        surrounding whitespace; blank lines are skipped."""
         with open(path, encoding="utf-8") as f:
-            codes = [line.strip() for line in f if line.strip()]
-        return cls(codes)
+            lines = f.read().split("\n")
+        return cls(filter(None, map(str.strip, lines)))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:

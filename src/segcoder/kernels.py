@@ -21,10 +21,16 @@ The ops reach them through ``active``, so one place can wrap all ten.
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import erf as _erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+
+
+def _erf(x):
+    # scipy.special is imported on the first GELU: the import alone costs a
+    # process about 25 MB of RSS and 0.2-0.4 s, and a CNN never calls erf
+    from scipy.special import erf
+    return erf(x)
 
 
 def _softmax_fwd(x):

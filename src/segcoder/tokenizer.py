@@ -7,7 +7,9 @@ on whitespace/punctuation before greedy longest-match-first piece lookup.
 """
 
 import unicodedata
+import weakref
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,6 +19,9 @@ MAX_WORD_CHARS = 100  # longer words degrade to UNK
 
 
 class Vocab:
+    """Tokens and their ids. A Vocab is not changed after it is built: it
+    caches how words split into its pieces."""
+
     def __init__(self, tokens):
         self.tokens = list(tokens)
         if not self.tokens:
@@ -33,6 +38,7 @@ class Vocab:
         if UNK_TOKEN not in self.token_to_id:
             raise ValueError(f"vocabulary must contain {UNK_TOKEN}")
         self.unk_id = self.token_to_id[UNK_TOKEN]
+        self._pieces = _PieceCache(self)
 
     def __len__(self):
         return len(self.tokens)
@@ -42,9 +48,13 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path):
+        """One token per line, ended by LF, CRLF or CR; one trailing blank
+        line is ignored."""
         with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
-        if tokens and tokens[-1] == "":
+            # the lines a line-by-line read would give: no empty one after
+            # the final line break
+            tokens = f.read().removesuffix("\n").split("\n")
+        if tokens[-1] == "":
             tokens.pop()
         return cls(tokens)
 
@@ -126,12 +136,33 @@ def wordpiece_word(word, vocab):
     return pieces
 
 
+_WORD_CACHE = 8192  # distinct words a Vocab's piece cache keeps
+
+
+class _PieceCache(dict):
+    """word -> tuple of piece ids under one Vocab, so ``tokenize`` splits
+    each distinct word once. Like ``_SplitTable`` it caches the first
+    ``_WORD_CACHE`` words it sees and computes the rest each time. Words
+    over ``MAX_WORD_CHARS`` are never cached, so an entry is at most a
+    100-character key and a 100-id tuple. Full, the cache holds about
+    11 MB with such entries (astral characters, one piece each) and about
+    1.1 MB with 8-letter words of two pieces, by tracemalloc."""
+
+    def __init__(self, vocab):
+        super().__init__()
+        self.vocab = weakref.proxy(vocab)  # no cycle: a dropped Vocab is freed at once
+
+    def __missing__(self, word):
+        pieces = tuple(wordpiece_word(word, self.vocab))
+        if len(self) < _WORD_CACHE and len(word) <= MAX_WORD_CHARS:
+            self[word] = pieces
+        return pieces
+
+
 def tokenize(text, vocab):
     """Deterministic WordPiece tokenization of ``text``."""
-    ids = []
-    for word in basic_split(text):
-        ids.extend(wordpiece_word(word, vocab))
-    return TokenSequence(ids)
+    pieces = map(vocab._pieces.__getitem__, basic_split(text))
+    return TokenSequence(np.fromiter(chain.from_iterable(pieces), dtype=np.int64))
 
 
 def truncate(seq, s_max):

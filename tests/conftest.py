@@ -9,10 +9,15 @@ here makes every gradient test in the suite use the same comparison rule.
 scale ``mul``, a masked fill and a plain ``softmax``: the oracle the
 one-node ``softmax(a, key_mask, scale)`` must match bit for bit.
 
+``encode_long_oracle`` is the per-window loop the one-call ``encode_long``
+replaced: one encoder call per window.
+
 ``per_note_probs`` and ``per_note_batch_loss`` are reference versions of
 ``CodingModel.probs`` and ``training.batch_loss`` that work one note at a
 time: one Tensor[K] and one summed binary cross-entropy chain per note,
 added up, where the package builds one [B, K] matrix and one loss over it.
+``per_note_probs`` encodes a transformer note through ``encode_long_oracle``,
+so it shares no window code with ``probs``.
 """
 
 import numpy as np
@@ -20,9 +25,9 @@ import pytest
 
 from segcoder.cnn import encode_cnn
 from segcoder.label_attention import predict
-from segcoder.segments import encode_long, plan_segments
-from segcoder.tensor import (MASK_FILL_VALUE, Tensor, _make, add, clamp, log, mul,
-                             no_grad, softmax, sub, tensor_sum)
+from segcoder.segments import plan_segments
+from segcoder.tensor import (MASK_FILL_VALUE, Tensor, _make, add, clamp, concat_rows, log,
+                             mul, no_grad, reshape, slice_rows, softmax, sub, tensor_sum)
 from segcoder.tokenizer import truncate
 from segcoder.transformer import encode_segment
 
@@ -99,6 +104,22 @@ def composed_masked_softmax(a, key_mask, scale):
     return softmax(filled)
 
 
+def encode_long_oracle(encoder, seq, plan):
+    """Reference oracle: the per-window loop the batched ``encode_long``
+    replaced. The ids are zero-padded to whole windows, the encoder is
+    called once per window, the rows concatenated, then the padded tail
+    dropped."""
+    n = len(plan.segments) * plan.seg_len
+    ids = np.zeros(n, dtype=np.int64)
+    ids[: seq.s] = seq.ids
+    pad_mask = np.arange(n) >= seq.s
+    pieces = []
+    for start, end in plan.segments:
+        out = encoder(ids[None, start:end], pad_mask[None, start:end])
+        pieces.append(reshape(out, (end - start, out.data.shape[-1])))
+    return slice_rows(concat_rows(pieces), 0, seq.s)
+
+
 def per_note_probs(model, seq):
     """Per-class probabilities, Tensor[K], of one token sequence."""
     limit = model.s_max
@@ -111,7 +132,7 @@ def per_note_probs(model, seq):
         cfg = model.enc_config
         def enc(ids, pad_mask):
             return encode_segment(model.enc_params, cfg, ids, pad_mask)
-        hidden = encode_long(enc, seq, plan_segments(seq.s, cfg.seg_len))
+        hidden = encode_long_oracle(enc, seq, plan_segments(seq.s, cfg.seg_len))
     else:
         hidden = encode_cnn(model.enc_params, model.enc_config, seq.ids)
     return predict(hidden, model.head)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segcoder.corpus import (
     EVIDENCE_PHRASE_LEN,
@@ -19,6 +21,7 @@ from segcoder.corpus import (
     synthetic_codes,
     token_length_cdf,
 )
+from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, Vocab
 
 
 def tiny_spec(**kw):
@@ -60,6 +63,79 @@ class TestLabelSet:
         again = LabelSet.from_file(path)
         assert again.codes == ls.codes
         assert again.code_to_index == ls.code_to_index
+
+
+def vocab_tokens_by_lines(path):
+    """Oracle for Vocab.from_file: the line-by-line read it replaced."""
+    with open(path, encoding="utf-8") as f:
+        tokens = [line.rstrip("\n") for line in f]
+    if tokens and tokens[-1] == "":
+        tokens.pop()
+    return tokens
+
+
+def label_codes_by_lines(path):
+    """Oracle for LabelSet.from_file: the line-by-line read it replaced."""
+    with open(path, encoding="utf-8") as f:
+        return [line.strip() for line in f if line.strip()]
+
+
+def outcome(build):
+    """``build()``, or the ValueError it raised as (type, message)."""
+    try:
+        return build()
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+# line breaks; whitespace that str.strip removes, and that str.splitlines
+# (but not a line-by-line read) breaks at: \x0b, \x0c, \x1c, \x85, \u2028
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+_LINE = st.one_of(st.sampled_from([PAD_TOKEN, UNK_TOKEN, "", " ", "a", "b"]),
+                  st.text(alphabet="ab#. \t\x0b\x0c\x1c\x85\u2028\u00e9", max_size=6))
+
+
+@st.composite
+def line_files(draw):
+    """File text: lines with mixed line breaks, the last one with or
+    without its own, then zero to three blank trailing lines. Half the
+    files start with the two special tokens a vocabulary needs."""
+    lines = draw(st.lists(_LINE, max_size=10))
+    if draw(st.booleans()):
+        lines = [PAD_TOKEN, UNK_TOKEN] + lines
+    ends = [draw(_LINE_END) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    tail = draw(st.lists(_LINE_END, max_size=3))
+    return "".join(map(str.__add__, lines, ends)) + "".join(tail)
+
+
+class TestLoadersMatchLineReads:
+    """``Vocab.from_file`` and ``LabelSet.from_file`` read the file in one
+    pass; they must give the tokens, codes and errors the line-by-line
+    reads gave."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=line_files())
+    @example(text="")
+    @example(text="\n\n")
+    @example(text="[PAD]\n[UNK]\n\n")               # one trailing blank line
+    @example(text="[PAD]\n[UNK]\n\n\n")             # two: the second is a token
+    @example(text="[PAD]\r\n[UNK]\r\nx\r\n")
+    @example(text="[PAD]\r[UNK]\r\r")
+    @example(text="[PAD]\n\n[UNK]\nx")               # a blank line inside
+    @example(text="[PAD]\n[UNK]\n a\x0bb\u2028c \n")  # not line breaks
+    @example(text="[PAD]\n[UNK]\nb\na\nb\n")        # duplicate token, unsorted codes
+    def test_same_lists_and_errors(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "loader-lines.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda: Vocab.from_file(path).tokens) == outcome(
+            lambda: Vocab(vocab_tokens_by_lines(path)).tokens)
+        codes = label_codes_by_lines(path)
+        want = sorted(set(codes))
+        got = LabelSet.from_file(path)
+        assert got.codes == want
+        assert got.code_to_index == {c: i for i, c in enumerate(want)}
 
 
 class TestNotesIO:

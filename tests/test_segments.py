@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import param_gradcheck
+from conftest import encode_long_oracle, param_gradcheck
 from segcoder.segments import encode_long, plan_segments
-from segcoder.tensor import Tensor, concat_rows, mul, no_grad, reshape, slice_rows, tensor_sum
+from segcoder.tensor import Tensor, mul, no_grad, reshape, tensor_sum
 from segcoder.tokenizer import TokenSequence
 from segcoder.transformer import EncoderConfig, EncoderParams, encode_segment
 
@@ -25,22 +25,6 @@ def tiny_encoder(seed=7, dtype=np.float32):
         return encode_segment(params, cfg, ids, pad_mask)
 
     return enc, params, cfg
-
-
-def encode_long_oracle(encoder, seq, plan):
-    """Reference oracle: the per-window loop the batched ``encode_long``
-    replaced. The ids are zero-padded to whole windows, the encoder is
-    called once per window, the rows concatenated, then the padded tail
-    dropped."""
-    n = len(plan.segments) * plan.seg_len
-    ids = np.zeros(n, dtype=np.int64)
-    ids[: seq.s] = seq.ids
-    pad_mask = np.arange(n) >= seq.s
-    pieces = []
-    for start, end in plan.segments:
-        out = encoder(ids[None, start:end], pad_mask[None, start:end])
-        pieces.append(reshape(out, (end - start, out.data.shape[-1])))
-    return slice_rows(concat_rows(pieces), 0, seq.s)
 
 
 class TestPlanSegments:

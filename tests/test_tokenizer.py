@@ -3,9 +3,11 @@ truncation."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from segcoder.tokenizer import (PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab,
-                                _SPLIT_CACHE, _SPLIT_TABLE, _is_punctuation,
+from segcoder.tokenizer import (MAX_WORD_CHARS, PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab,
+                                _SPLIT_CACHE, _SPLIT_TABLE, _WORD_CACHE, _is_punctuation,
                                 basic_split, tokenize, truncate, wordpiece_word)
 
 
@@ -133,6 +135,63 @@ class TestTokenize:
         a = tokenize("Hello unaffable", v)
         b = tokenize("Hello unaffable", v)
         np.testing.assert_array_equal(a.ids, b.ids)
+
+
+def per_word_ids(text, vocab):
+    """Oracle for tokenize: every word split again, the pieces joined."""
+    return [i for w in basic_split(text) for i in wordpiece_word(w, vocab)]
+
+
+def cache_vocab():
+    return toy_vocab(["a", "##a", "x", "##y", "i", "##\u0307", "\u00df", "##\U0001f600"])
+
+
+class TestPieceCache:
+    """``tokenize`` splits each distinct word once per Vocab and keeps the
+    first ``_WORD_CACHE`` of them; its ids must be the per-word split's."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(texts=st.lists(st.one_of(
+        st.text(alphabet="unafblexy aA.,!\u0130\u00df\u3000\u2028\U0001f600", max_size=40),
+        st.builds(str.__mul__, st.sampled_from(["a", "ya", "unaff"]),
+                  st.integers(MAX_WORD_CHARS // 5 - 2, MAX_WORD_CHARS + 2))), max_size=4))
+    @example(texts=["x\ud800y a\ud800"])                # lone surrogates
+    @example(texts=["a" * MAX_WORD_CHARS + " " + "a" * (MAX_WORD_CHARS + 1)])
+    @example(texts=["unaffable xyzzy unusual UNAFF"])      # in and out of vocabulary
+    def test_ids_match_per_word_split_cold_and_warm(self, texts):
+        v = cache_vocab()
+        for text in texts + texts:    # a cold cache first, then a warm one
+            seq = tokenize(text, v)
+            assert seq.ids.dtype == np.int64
+            assert seq.ids.tolist() == per_word_ids(text, v), repr(text)
+        assert all(len(w) <= MAX_WORD_CHARS for w in v._pieces)
+
+    def test_bounded_and_still_right_past_the_bound(self):
+        v = cache_vocab()
+        words = [f"a{n}" for n in range(_WORD_CACHE + 100)]
+        text = " ".join(words)
+        assert tokenize(text, v).ids.tolist() == per_word_ids(text, v)
+        assert len(v._pieces) == _WORD_CACHE
+        # words past the bound are split each time, and the cache keeps its first words
+        tail = " ".join(words[-100:] + ["unaffable"])
+        assert tokenize(tail, v).ids.tolist() == per_word_ids(tail, v)
+        assert len(v._pieces) == _WORD_CACHE
+        assert "a0" in v._pieces and words[-1] not in v._pieces
+
+    def test_caller_cannot_change_a_cached_entry(self):
+        v = toy_vocab()
+        first = tokenize("unaffable unaffable", v)
+        want = first.ids.tolist()
+        first.ids[:] = 0
+        assert tokenize("unaffable", v).ids.tolist() == want[:3]
+        assert all(type(p) is tuple for p in v._pieces.values())
+
+    def test_vocabularies_do_not_share_entries(self):
+        # the same word splits differently under two vocabularies
+        small, large = toy_vocab(), toy_vocab(["unaffable"])
+        assert tokenize("unaffable", small).s == 3
+        assert tokenize("unaffable", large).ids.tolist() == [large.token_to_id["unaffable"]]
+        assert tokenize("unaffable", small).s == 3
 
 
 class TestTokenSequence:
