@@ -12,6 +12,7 @@ minimum frequency 3) with embeddings trained from scratch.
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -75,8 +76,9 @@ def build_word_vocab(texts, min_freq=WORD_MIN_FREQ):
 
 def word_ids(text, vocab):
     """Whole-word lookup (no subword splitting); OOV words map to UNK."""
-    ids = [vocab.token_to_id.get(w, vocab.unk_id) for w in text.lower().split()]
-    return TokenSequence(ids)
+    words = text.lower().split()
+    return TokenSequence(np.fromiter(map(vocab.token_to_id.get, words, repeat(vocab.unk_id)),
+                                     dtype=np.int64, count=len(words)))
 
 
 def encode_cnn(params, config, word_ids_arr):

@@ -242,8 +242,8 @@ def sigmoid(a):
 
 
 def gelu(a):
-    return _make(kernels.active.gelu_fwd(a.data), (a,),
-                 lambda g: (kernels.active.gelu_bwd(g, a.data),))
+    y, term = kernels.active.gelu_fwd(a.data)
+    return _make(y, (a,), lambda g: (kernels.active.gelu_bwd(g, a.data, term),))
 
 
 def softmax(a, key_mask=None, scale=None):
@@ -296,7 +296,7 @@ def embedding_gather(table, ids):
         raise IndexError(f"id {bad} out of range for table with {n_rows} rows")
 
     def backward(g):
-        dtable = np.zeros_like(table.data)
+        dtable = np.zeros(table.data.shape, table.data.dtype)
         kernels.active.scatter_add(dtable, ids.reshape(-1), g.reshape(-1, dtable.shape[1]))
         return (dtable,)
     return _make(table.data[ids], (table,), backward)

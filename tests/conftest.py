@@ -9,6 +9,10 @@ here makes every gradient test in the suite use the same comparison rule.
 scale ``mul``, a masked fill and a plain ``softmax``: the oracle the
 one-node ``softmax(a, key_mask, scale)`` must match bit for bit.
 
+``composed_gelu_fwd`` and ``composed_gelu_bwd`` are GELU as first
+written, each with its own ``scipy.special.erf`` call: the oracle the
+kernels' one-``erf`` GELU must match bit for bit.
+
 ``encode_long_oracle`` is the per-window loop the one-call ``encode_long``
 replaced: one encoder call per window.
 
@@ -22,6 +26,7 @@ so it shares no window code with ``probs``.
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from segcoder.cnn import encode_cnn
 from segcoder.label_attention import predict
@@ -102,6 +107,18 @@ def composed_masked_softmax(a, key_mask, scale):
     filled = _make(np.where(key_mask, scaled.data.dtype.type(MASK_FILL_VALUE), scaled.data),
                    (scaled,), lambda g: (np.where(key_mask, 0.0, g),))
     return softmax(filled)
+
+
+def composed_gelu_fwd(x):
+    """x Phi(x) = 0.5 x (1 + erf(x / sqrt 2))."""
+    return 0.5 * x * (1.0 + erf(x * 0.7071067811865476))
+
+
+def composed_gelu_bwd(dy, x):
+    """dy (Phi(x) + x phi(x)), erf computed again from x."""
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    pdf = np.exp(-0.5 * x * x) * 0.3989422804014327
+    return dy * (cdf + x * pdf)
 
 
 def encode_long_oracle(encoder, seq, plan):

@@ -4,11 +4,15 @@ import ast
 import json
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segcoder
 import segcoder.cli as cli
 from segcoder.cli import (OPTIONS, RESOLVED_NAME, build_parser, emit_resolved,
                           main, option_type, parse_config_file, resolve_options)
@@ -530,3 +534,46 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Imports the CLI, then for each model kind scores a note and makes one
+# train step, and prints every scipy module the process has loaded.
+_SCORE_AND_TRAIN = textwrap.dedent("""
+    import json
+    import sys
+    import segcoder.cli
+    from segcoder.cnn import CnnConfig, build_word_vocab
+    from segcoder.corpus import LabelSet, Note
+    from segcoder.model import new_model
+    from segcoder.optim import init_adam
+    from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, Vocab
+    from segcoder.training import prepare_examples, train_step
+    from segcoder.transformer import EncoderConfig
+
+    note = Note("n1", "fever and cough fever cough fever and cough", ["A", "B"])
+    for kind in ("cnn", "transformer"):
+        if kind == "cnn":
+            vocab = build_word_vocab([note.text])
+            enc = CnnConfig(embed_dim=4, filters=4, kernel=3, vocab_size=len(vocab))
+        else:
+            vocab = Vocab([PAD_TOKEN, UNK_TOKEN, "fever", "and", "cough"])
+            enc = EncoderConfig(num_blocks=1, hidden=8, heads=2, intermediate=16,
+                                vocab_size=len(vocab), max_positions=4, seg_len=4)
+        model = new_model(kind, enc, vocab, LabelSet(note.codes), s_max=16)
+        assert len(model.rank_codes(note.text)) == 2
+        train_step(model, prepare_examples(model, [note]),
+                   init_adam(model.parameters(), lr=1e-3))
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+""")
+
+
+class TestNoScipy:
+    """numpy is the only runtime dependency: GELU's erf is computed in
+    kernels.py, so neither kind of model ever imports scipy."""
+
+    def test_cli_scoring_and_training_load_no_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(segcoder.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", _SCORE_AND_TRAIN], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == []

@@ -1,15 +1,10 @@
 """Convolutional baseline encoder: vocabulary, shapes, equivariance, gradients."""
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-import segcoder
 from segcoder import kernels
 from segcoder.cnn import CnnConfig, CnnParams, build_word_vocab, encode_cnn, word_ids
 from segcoder.label_attention import LabelHeadParams, predict
@@ -65,6 +60,26 @@ class TestWordVocab:
     def test_empty_text_gives_empty_sequence(self):
         vocab = build_word_vocab(["a a a"], min_freq=3)
         assert word_ids("", vocab).s == 0
+
+
+def list_word_ids(text, vocab):
+    """Oracle for word_ids: the per-word list comprehension it replaced."""
+    return [vocab.token_to_id.get(w, vocab.unk_id) for w in text.lower().split()]
+
+
+class TestWordIdsMatchesLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.text(alphabet="abAB zZ\t\n\x0b\x1c\x85\u2028\u3000\u0130\u00df\U0001f600\ud800",
+                        max_size=60))
+    @example(text="")
+    @example(text="   \n\t ")
+    @example(text="A zzz b \u0130 STRASSE stra\u00dfe x\ud800y \U0001f600")
+    def test_ids_equal_the_list_comprehension(self, text):
+        vocab = build_word_vocab(["a a a b b b \u0130 \u0130 \u0130 stra\u00dfe " * 3
+                                  + "\U0001f600 " * 3 + "i\u0307 " * 3])
+        seq = word_ids(text, vocab)
+        assert seq.ids.dtype == np.int64
+        assert seq.ids.tolist() == list_word_ids(text, vocab)
 
 
 class TestEncodeCnn:
@@ -202,52 +217,3 @@ class TestGradients:
             return tensor_sum(mul(predict(encode_cnn(params, config, ids), head), Tensor(w)))
 
         param_gradcheck(tensors, loss, rtol=1e-3, names=names)
-
-
-# Builds a model of the kind given in argv[1], scores a note and makes one
-# train step, then prints whether scipy.special was ever imported.
-_SCORE_ONE_NOTE = textwrap.dedent("""
-    import sys
-    import segcoder.cli
-    from segcoder.cnn import CnnConfig, build_word_vocab
-    from segcoder.corpus import LabelSet, Note
-    from segcoder.model import new_model
-    from segcoder.optim import init_adam
-    from segcoder.tokenizer import PAD_TOKEN, UNK_TOKEN, Vocab
-    from segcoder.training import prepare_examples, train_step
-    from segcoder.transformer import EncoderConfig
-
-    kind = sys.argv[1]
-    note = Note("n1", "fever and cough fever cough fever and cough", ["A", "B"])
-    if kind == "cnn":
-        vocab = build_word_vocab([note.text])
-        enc = CnnConfig(embed_dim=4, filters=4, kernel=3, vocab_size=len(vocab))
-    else:
-        vocab = Vocab([PAD_TOKEN, UNK_TOKEN, "fever", "and", "cough"])
-        enc = EncoderConfig(num_blocks=1, hidden=8, heads=2, intermediate=16,
-                            vocab_size=len(vocab), max_positions=4, seg_len=4)
-    model = new_model(kind, enc, vocab, LabelSet(note.codes), s_max=16)
-    assert len(model.rank_codes(note.text)) == 2
-    train_step(model, prepare_examples(model, [note]), init_adam(model.parameters(), lr=1e-3))
-    print("scipy.special" in sys.modules)
-""")
-
-
-class TestNoScipyForCnn:
-    """scipy.special is only needed by GELU's erf; a CNN process (CLI
-    imported, a note scored, one train step) must never import it."""
-
-    @staticmethod
-    def _loads_scipy_special(kind):
-        env = dict(os.environ, PYTHONPATH=str(Path(segcoder.__file__).resolve().parents[1]))
-        out = subprocess.run([sys.executable, "-c", _SCORE_ONE_NOTE, kind], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        return out.stdout.split()[-1] == "True"
-
-    def test_cnn_never_imports_scipy_special(self):
-        assert not self._loads_scipy_special("cnn")
-
-    def test_transformer_imports_it_for_gelu(self):
-        # the same probe sees the import where GELU runs
-        assert self._loads_scipy_special("transformer")
