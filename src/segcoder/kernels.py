@@ -2,7 +2,7 @@
 
 The hot row-wise and elementwise inner loops, as plain numpy functions.
 Matrix products are not here; they stay on numpy's BLAS path. All kernels
-are single-threaded and deterministic.
+are single-threaded and deterministic, and run on the calling thread.
 
 Shapes:
 
@@ -19,8 +19,16 @@ Shapes:
   array, summing duplicate ids.
 
 The ops reach them through ``active``, so one place can wrap all ten.
+
+The module also owns the package's one worker pool, which only the label
+head uses: it runs the head's independent ranges of code blocks, one range
+per worker (``workers``, ``run_ranges``). Pool threads run numpy directly
+and call nothing in ``active``. The first use sets the loaded OpenBLAS to
+one thread for the rest of the process: OpenBLAS's own threads spin after
+each threaded call and would take the core a pool worker needs.
 """
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,3 +212,68 @@ active = SimpleNamespace(
     adam_update=_adam_update,
     scatter_add=_scatter_add,
 )
+
+
+# OpenBLAS's thread-count setter, by build: plain, with 64-bit integers,
+# and the scipy-openblas build that numpy wheels bundle
+_BLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads64_")
+_workers = None  # fixed on first use
+_pool = None     # workers - 1 threads; the caller is the other worker
+
+
+def _pin_blas():
+    """Set every loaded OpenBLAS to one thread; False if no setter is found."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return False
+    pinned = False
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        setter = next((getattr(lib, sym) for sym in _BLAS_SETTERS if hasattr(lib, sym)), None)
+        if setter is not None:
+            setter(1)
+            pinned = True
+    return pinned
+
+
+def workers():
+    """The pool's size: one worker per core this process may run on. The
+    first call pins OpenBLAS to one thread; with no setter found, the size
+    is 1 and BLAS keeps its threads."""
+    global _workers
+    if _workers is None:
+        _workers = len(os.sched_getaffinity(0)) if _pin_blas() else 1
+    return _workers
+
+
+def run_ranges(fn, ranges):
+    """``[fn(*r) for r in ranges]``, the first range on the calling thread and
+    the others on the pool. If any call raises, the first exception in range
+    order is re-raised once every call has finished."""
+    if len(ranges) == 1:
+        return [fn(*ranges[0])]
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(workers() - 1, thread_name_prefix="segcoder")
+    futures = [_pool.submit(fn, *r) for r in ranges[1:]]
+    try:
+        first = fn(*ranges[0])
+    finally:
+        for f in futures:
+            f.exception()  # waits without raising
+    return [first] + [f.result() for f in futures]
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads; it makes its own pool
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)

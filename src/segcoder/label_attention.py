@@ -6,24 +6,34 @@ into one document vector z_c = softmax(E q_c)^T E, and a linear classifier
 layer holds d*K scalars and the classifier layer (d+1)*K.
 
 The head is one autodiff op for the K logits. It visits the codes in blocks
-of ``BLOCK`` rows and reuses one [block, s] buffer for their scores, so the
-working memory is O(block * s) rather than O(K * s), and no [K, s] array is
-kept in the graph. Forward shifts each block's scores by their row max,
-takes exp in place, and gets the row sums as a GEMV against a ones vector:
-BLAS reads the buffer several times faster than a numpy row reduction.
-Backward recomputes each block's attention weights from the saved row
-maxima and sums instead of storing them, in the manner of FlashAttention
-(Dao et al., 2022), and folds the max and the sum into the GEMMs the
-recompute already runs, so it makes no separate pass over a [block, s]
-buffer to subtract or divide them.
+and reuses one [block, s] buffer per worker for their scores, so the working
+memory is O(workers * block * s) rather than O(K * s), and no [K, s] array
+is kept in the graph. A head of at most ``BLOCK`` codes is one block on the
+calling thread. A larger one runs contiguous ranges of whole blocks of
+``BLOCK // workers`` codes, one range per worker of ``kernels``' pool, so
+workers * block stays at most ``BLOCK``: blocks are independent in forward,
+and in backward each range sums its own share of dE. Forward shifts each
+block's scores by their row max, takes exp in place, and gets the row sums
+as a GEMV against a ones vector: BLAS reads the buffer several times faster
+than a numpy row reduction. Backward recomputes each block's attention
+weights from the saved row maxima and sums instead of storing them, in the
+manner of FlashAttention (Dao et al., 2022), and folds the max and the sum
+into the GEMMs the recompute already runs, so it makes no separate pass over
+a [block, s] buffer to subtract or divide them.
 """
+
+from functools import partial
 
 import numpy as np
 
+from . import kernels
 from .tensor import Tensor, _make, matmul, reshape, sigmoid, softmax
 from .transformer import init_weight
 
-BLOCK = 512  # codes per block; 256-2048 run equally fast
+# Codes in flight at once: the block of a serial head, or the blocks of all
+# workers together. It bounds the scratch; at K = 8,922 and d = 32, totals
+# of 256-2,048 ran within the host's noise of each other at 1 and 2 workers.
+BLOCK = 512
 
 
 class LabelHeadParams:
@@ -54,24 +64,14 @@ def attention_weights(E, q_c):
     return reshape(softmax(scores), (s,))
 
 
-def label_logits(E, Q, W, b):
-    """Logits [K] of the label-attention head over tokens E [s, d].
-
-    logit_c = w_c . softmax(E q_c)^T E + b_c, computed block by block over
-    the codes; see the module docstring. Forward keeps only z [K, d] and
-    the per-code row max and sum; backward folds both into the GEMMs that
-    recompute each block's attention weights.
-    """
-    dtype = np.result_type(E.data, Q.data, W.data, b.data)
-    e, q, w = (np.asarray(t.data, dtype=dtype) for t in (E, Q, W))
-    K, s = q.shape[0], e.shape[0]
-    z = np.empty((K, e.shape[1]), dtype=dtype)
-    row_max = np.empty((K, 1), dtype=dtype)
-    row_sum = np.empty((K, 1), dtype=dtype)
-    ones = np.ones(s, dtype=dtype)
-    buf = np.empty((min(BLOCK, K), s), dtype=dtype)
-    for lo in range(0, K, BLOCK):
-        hi = min(lo + BLOCK, K)
+def _forward_blocks(e, q, z, row_max, row_sum, start, stop, block):
+    """Codes start:stop of the forward, ``block`` rows at a time through one
+    scratch buffer: their rows of z, row_max and row_sum."""
+    s = e.shape[0]
+    ones = np.ones(s, dtype=e.dtype)
+    buf = np.empty((min(block, stop - start), s), dtype=e.dtype)
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
         a = buf[: hi - lo]
         np.matmul(q[lo:hi], e.T, out=a)
         np.max(a, axis=1, keepdims=True, out=row_max[lo:hi])
@@ -81,38 +81,83 @@ def label_logits(E, Q, W, b):
         np.matmul(a, e, out=z[lo:hi])
         z[lo:hi] /= row_sum[lo:hi]
 
+
+def _backward_blocks(e, e1, q, w, z, row_max, row_sum, gk, dQ, start, stop, block):
+    """Codes start:stop of the backward: writes their rows of dQ and returns
+    their share of dE.
+
+    With e1 = [e | 1], exp([q | -max] @ e1.T) is alpha * sum, and
+    ([dz | -dz.z] / sum) @ e1.T times it is dscores: one GEMM of both
+    stacked rows against e1 replaces the passes over [block, s] that
+    subtract the max and divide by the sum. dE gets alpha.T @ dz +
+    dscores.T @ q as one GEMM over both halves.
+    """
+    s, d = e.shape
+    dE = np.zeros_like(e)
+    nmax = 2 * min(block, stop - start)
+    lhs = np.empty((nmax, d + 1), dtype=e.dtype)   # [q | -max; dz | -dz.z]
+    rhs = np.empty((nmax, d), dtype=e.dtype)       # [dz / sum; q]
+    buf = np.empty((nmax, s), dtype=e.dtype)       # [alpha * sum; dscores]
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        nb = hi - lo
+        lhs[:nb, :d] = q[lo:hi]
+        lhs[:nb, d] = -row_max[lo:hi, 0]
+        dz = lhs[nb:2 * nb, :d]
+        np.multiply(gk[lo:hi], w[lo:hi], out=dz)
+        lhs[nb:2 * nb, d] = -np.einsum("kd,kd->k", dz, z[lo:hi])
+        lhs[nb:2 * nb] /= row_sum[lo:hi]
+        np.matmul(lhs[:2 * nb], e1.T, out=buf[:2 * nb])
+        ex, da = buf[:nb], buf[nb:2 * nb]
+        np.exp(ex, out=ex)
+        da *= ex                                       # dscores
+        rhs[:nb] = dz
+        rhs[nb:2 * nb] = q[lo:hi]
+        dE += buf[:2 * nb].T @ rhs[:2 * nb]
+        np.matmul(da, e, out=dQ[lo:hi])
+    return dE
+
+
+def _over_ranges(K, fn, *args):
+    """``fn(*args, start, stop, block)`` for each range of codes (see the
+    module docstring), as a list of results in range order. A head of at
+    most BLOCK codes is one call here and never touches the pool or BLAS."""
+    if K <= BLOCK:
+        return [fn(*args, 0, K, BLOCK)]
+    n = kernels.workers()
+    block = max(1, BLOCK // n)
+    nblocks = -(-K // block)
+    n = min(n, nblocks)
+    cuts = [min(K, i * nblocks // n * block) for i in range(n + 1)]
+    return kernels.run_ranges(partial(fn, *args),
+                              [(lo, hi, block) for lo, hi in zip(cuts, cuts[1:])])
+
+
+def label_logits(E, Q, W, b):
+    """Logits [K] of the label-attention head over tokens E [s, d].
+
+    logit_c = w_c . softmax(E q_c)^T E + b_c, computed block by block over
+    the codes; see the module docstring. Forward keeps only z [K, d] and
+    the per-code row max and sum; backward folds both into the GEMMs that
+    recompute each block's attention weights. Each range of blocks writes
+    its own rows; the ranges' dE are summed in range order.
+    """
+    dtype = np.result_type(E.data, Q.data, W.data, b.data)
+    e, q, w = (np.asarray(t.data, dtype=dtype) for t in (E, Q, W))
+    K, s = q.shape[0], e.shape[0]
+    z = np.empty((K, e.shape[1]), dtype=dtype)
+    row_max = np.empty((K, 1), dtype=dtype)
+    row_sum = np.empty((K, 1), dtype=dtype)
+    _over_ranges(K, _forward_blocks, e, q, z, row_max, row_sum)
+
     def backward(g):
-        # With e1 = [e | 1], exp([q | -max] @ e1.T) is alpha * sum, and
-        # ([dz | -dz.z] / sum) @ e1.T times it is dscores: one GEMM of
-        # both stacked rows against e1 replaces the passes over
-        # [block, s] that subtract the max and divide by the sum. dE
-        # gets alpha.T @ dz + dscores.T @ q as one GEMM over both halves.
         gk = g[:, None]
-        d = e.shape[1]
         e1 = np.concatenate([e, np.ones((s, 1), dtype=dtype)], axis=1)
-        dE = np.zeros_like(e)
         dQ = np.empty_like(q)
-        nmax = 2 * min(BLOCK, K)
-        lhs = np.empty((nmax, d + 1), dtype=dtype)   # [q | -max; dz | -dz.z]
-        rhs = np.empty((nmax, d), dtype=dtype)       # [dz / sum; q]
-        buf = np.empty((nmax, s), dtype=dtype)       # [alpha * sum; dscores]
-        for lo in range(0, K, BLOCK):
-            hi = min(lo + BLOCK, K)
-            nb = hi - lo
-            lhs[:nb, :d] = q[lo:hi]
-            lhs[:nb, d] = -row_max[lo:hi, 0]
-            dz = lhs[nb:2 * nb, :d]
-            np.multiply(gk[lo:hi], w[lo:hi], out=dz)
-            lhs[nb:2 * nb, d] = -np.einsum("kd,kd->k", dz, z[lo:hi])
-            lhs[nb:2 * nb] /= row_sum[lo:hi]
-            np.matmul(lhs[:2 * nb], e1.T, out=buf[:2 * nb])
-            ex, da = buf[:nb], buf[nb:2 * nb]
-            np.exp(ex, out=ex)
-            da *= ex                                       # dscores
-            rhs[:nb] = dz
-            rhs[nb:2 * nb] = q[lo:hi]
-            dE += buf[:2 * nb].T @ rhs[:2 * nb]
-            np.matmul(da, e, out=dQ[lo:hi])
+        dE, *rest = _over_ranges(K, _backward_blocks, e, e1, q, w, z, row_max, row_sum,
+                                 gk, dQ)
+        for part in rest:
+            dE += part
         return dE, dQ, gk * z, g
     return _make(np.einsum("kd,kd->k", z, w) + b.data, (E, Q, W, b), backward)
 

@@ -13,6 +13,11 @@ one-node ``softmax(a, key_mask, scale)`` must match bit for bit.
 written, each with its own ``scipy.special.erf`` call: the oracle the
 kernels' one-``erf`` GELU must match bit for bit.
 
+``serial_label_logits`` is the label head as it was before its code
+blocks ran on a pool: one loop over blocks of ``SERIAL_BLOCK`` codes on
+the calling thread. The pooled head with one worker must match it bit for
+bit.
+
 ``encode_long_oracle`` is the per-window loop the one-call ``encode_long``
 replaced: one encoder call per window.
 
@@ -37,6 +42,7 @@ from segcoder.tokenizer import truncate
 from segcoder.transformer import encode_segment
 
 FD_H = 1e-4
+SERIAL_BLOCK = 512
 
 
 def fd_gradients(fn, tensors, h=FD_H):
@@ -119,6 +125,69 @@ def composed_gelu_bwd(dy, x):
     cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
     pdf = np.exp(-0.5 * x * x) * 0.3989422804014327
     return dy * (cdf + x * pdf)
+
+
+def serial_label_logits(E, Q, W, b):
+    """Reference oracle: the label head's logits [K] over tokens E [s, d].
+
+    logit_c = w_c . softmax(E q_c)^T E + b_c, computed block by block over
+    the codes; see label_attention's docstring. Forward keeps only z [K, d] and
+    the per-code row max and sum; backward folds both into the GEMMs that
+    recompute each block's attention weights.
+    """
+    dtype = np.result_type(E.data, Q.data, W.data, b.data)
+    e, q, w = (np.asarray(t.data, dtype=dtype) for t in (E, Q, W))
+    K, s = q.shape[0], e.shape[0]
+    z = np.empty((K, e.shape[1]), dtype=dtype)
+    row_max = np.empty((K, 1), dtype=dtype)
+    row_sum = np.empty((K, 1), dtype=dtype)
+    ones = np.ones(s, dtype=dtype)
+    buf = np.empty((min(SERIAL_BLOCK, K), s), dtype=dtype)
+    for lo in range(0, K, SERIAL_BLOCK):
+        hi = min(lo + SERIAL_BLOCK, K)
+        a = buf[: hi - lo]
+        np.matmul(q[lo:hi], e.T, out=a)
+        np.max(a, axis=1, keepdims=True, out=row_max[lo:hi])
+        a -= row_max[lo:hi]
+        np.exp(a, out=a)
+        np.matmul(a, ones, out=row_sum[lo:hi, 0])
+        np.matmul(a, e, out=z[lo:hi])
+        z[lo:hi] /= row_sum[lo:hi]
+
+    def backward(g):
+        # With e1 = [e | 1], exp([q | -max] @ e1.T) is alpha * sum, and
+        # ([dz | -dz.z] / sum) @ e1.T times it is dscores: one GEMM of
+        # both stacked rows against e1 replaces the passes over
+        # [block, s] that subtract the max and divide by the sum. dE
+        # gets alpha.T @ dz + dscores.T @ q as one GEMM over both halves.
+        gk = g[:, None]
+        d = e.shape[1]
+        e1 = np.concatenate([e, np.ones((s, 1), dtype=dtype)], axis=1)
+        dE = np.zeros_like(e)
+        dQ = np.empty_like(q)
+        nmax = 2 * min(SERIAL_BLOCK, K)
+        lhs = np.empty((nmax, d + 1), dtype=dtype)   # [q | -max; dz | -dz.z]
+        rhs = np.empty((nmax, d), dtype=dtype)       # [dz / sum; q]
+        buf = np.empty((nmax, s), dtype=dtype)       # [alpha * sum; dscores]
+        for lo in range(0, K, SERIAL_BLOCK):
+            hi = min(lo + SERIAL_BLOCK, K)
+            nb = hi - lo
+            lhs[:nb, :d] = q[lo:hi]
+            lhs[:nb, d] = -row_max[lo:hi, 0]
+            dz = lhs[nb:2 * nb, :d]
+            np.multiply(gk[lo:hi], w[lo:hi], out=dz)
+            lhs[nb:2 * nb, d] = -np.einsum("kd,kd->k", dz, z[lo:hi])
+            lhs[nb:2 * nb] /= row_sum[lo:hi]
+            np.matmul(lhs[:2 * nb], e1.T, out=buf[:2 * nb])
+            ex, da = buf[:nb], buf[nb:2 * nb]
+            np.exp(ex, out=ex)
+            da *= ex                                       # dscores
+            rhs[:nb] = dz
+            rhs[nb:2 * nb] = q[lo:hi]
+            dE += buf[:2 * nb].T @ rhs[:2 * nb]
+            np.matmul(da, e, out=dQ[lo:hi])
+        return dE, dQ, gk * z, g
+    return _make(np.einsum("kd,kd->k", z, w) + b.data, (E, Q, W, b), backward)
 
 
 def encode_long_oracle(encoder, seq, plan):
