@@ -64,13 +64,13 @@ class CnnParams:
         ]
 
 
-def build_word_vocab(texts, min_freq=WORD_MIN_FREQ):
+def build_word_vocab(texts):
     """Word vocabulary from training texts: [PAD], [UNK], then all
-    lowercase whitespace words with count >= min_freq, lexicographic."""
+    lowercase whitespace words with count >= WORD_MIN_FREQ, lexicographic."""
     counts = Counter()
     for text in texts:
         counts.update(text.lower().split())
-    kept = sorted(w for w, c in counts.items() if c >= min_freq)
+    kept = sorted(w for w, c in counts.items() if c >= WORD_MIN_FREQ)
     return Vocab([PAD_TOKEN, UNK_TOKEN] + kept)
 
 

@@ -223,16 +223,22 @@ _pool = None     # workers - 1 threads; the caller is the other worker
 
 
 def _pin_blas():
-    """Set every loaded OpenBLAS to one thread; False if no setter is found."""
+    """Set every loaded OpenBLAS to one thread; False if no setter is found.
+    A library that fails to load has no setter."""
     import ctypes
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+            # the pathname is the sixth field and may hold spaces
+            libs = sorted({line.rstrip("\n").split(None, 5)[5] for line in f
+                           if "openblas" in line.lower()})
     except OSError:
         return False
     pinned = False
     for path in libs:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         setter = next((getattr(lib, sym) for sym in _BLAS_SETTERS if hasattr(lib, sym)), None)
         if setter is not None:
             setter(1)

@@ -114,13 +114,11 @@ def default_grid():
     return [round(0.01 * i, 2) for i in range(1, 100)]
 
 
-def best_threshold(preds, grid=None):
-    """Grid point maximizing micro F1; ties resolve to the smallest
-    threshold. The counts at every grid point come off the set's curve."""
-    if grid is None:
-        grid = default_grid()
-    if not len(grid):
-        raise ValueError("threshold grid must be non-empty")
+def best_threshold(preds):
+    """Point of ``default_grid`` maximizing micro F1; ties resolve to the
+    smallest threshold. The counts at every grid point come off the set's
+    curve."""
+    grid = default_grid()
     tp, fp, fn, _ = _counts_at(preds, grid)
     f1s = [micro_f1(*counts) for counts in zip(tp.tolist(), fp.tolist(), fn.tolist())]
     best_f1 = max(f1s)

@@ -31,32 +31,22 @@ def init_adam(params, lr):
     return AdamState(lr=lr, m=m, v=v)
 
 
-def adam_step(params, grads, state):
-    """One bias-corrected update; mutates params and state in place.
-
-    ``grads`` may contain None for parameters untouched by the loss; those
-    are treated as zero gradient.
-    """
+def step_with_grads(params, state):
+    """One bias-corrected update from each parameter's accumulated ``.grad``,
+    which it then clears; mutates params and state in place. A parameter
+    the loss did not reach (``.grad`` None) gets a zero gradient."""
     if len(params) != len(state.m):
         raise ValueError(f"state holds {len(state.m)} buffers for {len(params)} params")
     state.t += 1
     update = kernels.active.adam_update
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            g = np.zeros_like(p.data)
+    for p, m, v in zip(params, state.m, state.v):
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
         update(p.data, g, m, v, state.t, state.lr, BETA1, BETA2, EPS)
-    return params, state
-
-
-def step_with_grads(params, state):
-    """adam_step using each tensor's accumulated .grad, then clears them."""
-    grads = [p.grad for p in params]
-    adam_step(params, grads, state)
     for p in params:
         p.zero_grad()
     return state
 
 
-__all__ = ["AdamState", "init_adam", "adam_step", "step_with_grads"]
+__all__ = ["AdamState", "init_adam", "step_with_grads"]

@@ -24,6 +24,7 @@ from . import kernels
 _grad_enabled = True
 
 MASK_FILL_VALUE = -1e9  # additive -inf surrogate; underflows to 0 after softmax
+LAYER_NORM_EPS = 1e-12  # BERT's (Devlin et al., 2019)
 
 
 class no_grad:
@@ -77,30 +78,20 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self, seed=None):
-        """Accumulate gradients of this tensor w.r.t. every graph leaf.
-
-        ``seed`` defaults to ones, which is only meaningful for scalar
-        outputs (the usual loss case); a given seed must have this tensor's
-        shape. A tensor that requires no gradient (built under ``no_grad``
-        or from tensors that require none) raises RuntimeError, as does a
-        second ``backward()`` through a graph, which is released as it is
-        walked.
+    def backward(self):
+        """Accumulate gradients of this scalar tensor (a loss) w.r.t. every
+        graph leaf. A tensor of more than one element raises ValueError. A
+        tensor that requires no gradient (built under ``no_grad`` or from
+        tensors that require none) raises RuntimeError, as does a second
+        ``backward()`` through a graph, which is released as it is walked.
         """
         if not self.requires_grad:
             raise RuntimeError(
                 "backward() on a tensor that requires no gradient: it was built "
                 "under no_grad() or from tensors that require none")
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed requires a scalar tensor")
-            seed = np.ones_like(self.data)
-        else:
-            seed = np.asarray(seed)
-            if seed.shape != self.data.shape:
-                raise ValueError(
-                    f"backward() seed of shape {seed.shape} does not match "
-                    f"tensor of shape {self.data.shape}")
+        if self.data.size != 1:
+            raise ValueError(f"backward() requires a scalar tensor, got shape {self.data.shape}")
+        seed = np.ones_like(self.data)
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -270,11 +261,12 @@ def softmax(a, key_mask=None, scale=None):
     return _make(y2.reshape(shape), (a,), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-12):
-    """Per-row normalization over the last axis, then affine scale/shift."""
+def layer_norm(x, gamma, beta):
+    """Per-row normalization over the last axis, then affine scale/shift;
+    LAYER_NORM_EPS guards the variance."""
     d = x.data.shape[-1]
     y2, xhat, rstd = kernels.active.layernorm_fwd(
-        np.ascontiguousarray(x.data.reshape(-1, d)), gamma.data, beta.data, eps)
+        np.ascontiguousarray(x.data.reshape(-1, d)), gamma.data, beta.data, LAYER_NORM_EPS)
 
     def backward(g):
         dx2, dgamma, dbeta = kernels.active.layernorm_bwd(

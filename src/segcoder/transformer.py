@@ -61,14 +61,14 @@ class EncoderConfig:
         return self.hidden // self.heads
 
 
-def truncated_normal(rng, shape, std=INIT_STD, dtype=np.float32):
-    """Normal(0, std) with draws beyond two stddev resampled."""
+def truncated_normal(rng, shape, dtype=np.float32):
+    """Normal(0, INIT_STD) with draws beyond two stddev resampled."""
     out = rng.standard_normal(shape)
     bad = np.abs(out) > 2.0
     while bad.any():
         out[bad] = rng.standard_normal(int(bad.sum()))
         bad = np.abs(out) > 2.0
-    return (out * std).astype(dtype)
+    return (out * INIT_STD).astype(dtype)
 
 
 def init_weight(rng, shape, dtype=np.float32):

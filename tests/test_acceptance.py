@@ -9,6 +9,7 @@ everything else finishes in seconds.
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ def test_criterion_9_determinism(tmp_path):
     p1 = generate_synthetic(SyntheticSpec(**spec_kw), tmp_path / "c1")
     p2 = generate_synthetic(SyntheticSpec(**spec_kw), tmp_path / "c2")
     corpora_ok = all(
-        open(p1[k], "rb").read() == open(p2[k], "rb").read()
+        Path(p1[k]).read_bytes() == Path(p2[k]).read_bytes()
         for k in ("train", "val", "test", "codes", "vocab"))
 
     label_set = LabelSet.from_file(p1["codes"])
@@ -456,7 +457,7 @@ def test_criterion_9_determinism(tmp_path):
         tc = TrainConfig(lr=1e-3, batch_size=4, max_steps=50, eval_every=10,
                          max_seq_len=16, seed=5)
         result = train_loop(model, train_notes, val_notes, tc, tmp_path / f"r{run}")
-        logs.append(open(result.log_path, "rb").read())
+        logs.append(Path(result.log_path).read_bytes())
     logs_ok = logs[0] == logs[1]
 
     report(9, corpora_ok and logs_ok,

@@ -40,17 +40,17 @@ def encode_cnn_oracle(params, config, ids):
 class TestWordVocab:
     def test_min_freq_and_order(self):
         texts = ["b a a", "a b c", "b a"]
-        # counts: a=4, b=3, c=1; min_freq 3 keeps a and b, lexicographic
-        vocab = build_word_vocab(texts, min_freq=3)
+        # counts: a=4, b=3, c=1; WORD_MIN_FREQ 3 keeps a and b, lexicographic
+        vocab = build_word_vocab(texts)
         assert vocab.tokens[:2] == ["[PAD]", "[UNK]"]
         assert vocab.tokens[2:] == ["a", "b"]
 
     def test_lowercasing(self):
-        vocab = build_word_vocab(["Fever FEVER fever"], min_freq=3)
+        vocab = build_word_vocab(["Fever FEVER fever"])
         assert "fever" in vocab.token_to_id
 
     def test_word_ids_lookup_and_unk(self):
-        vocab = build_word_vocab(["a a a b b b"], min_freq=3)
+        vocab = build_word_vocab(["a a a b b b"])
         seq = word_ids("A zzz b", vocab)
         assert seq.s == 3
         assert seq.ids[0] == vocab.token_to_id["a"]
@@ -58,7 +58,7 @@ class TestWordVocab:
         assert seq.ids[2] == vocab.token_to_id["b"]
 
     def test_empty_text_gives_empty_sequence(self):
-        vocab = build_word_vocab(["a a a"], min_freq=3)
+        vocab = build_word_vocab(["a a a"])
         assert word_ids("", vocab).s == 0
 
 

@@ -1,5 +1,7 @@
 """Corpus I/O, label vocabulary, length statistics, synthetic generator."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -363,14 +365,14 @@ class TestSyntheticGenerator:
         p1 = generate_synthetic(spec, tmp_path / "run1")
         p2 = generate_synthetic(tiny_spec(seed=7), tmp_path / "run2")
         for key in ("train", "val", "test", "codes", "vocab"):
-            b1 = open(p1[key], "rb").read()
-            b2 = open(p2[key], "rb").read()
+            b1 = Path(p1[key]).read_bytes()
+            b2 = Path(p2[key]).read_bytes()
             assert b1 == b2, f"split {key} differs across identical seeds"
 
     def test_different_seeds_differ(self, tmp_path):
         p1 = generate_synthetic(tiny_spec(seed=1), tmp_path / "s1")
         p2 = generate_synthetic(tiny_spec(seed=2), tmp_path / "s2")
-        assert open(p1["train"], "rb").read() != open(p2["train"], "rb").read()
+        assert Path(p1["train"]).read_bytes() != Path(p2["train"]).read_bytes()
 
     def test_splits_disjoint_by_note_id(self, tmp_path):
         paths = generate_synthetic(tiny_spec(), tmp_path)
@@ -391,7 +393,7 @@ class TestSyntheticGenerator:
     def test_vocab_covers_all_words(self, tmp_path):
         spec = tiny_spec()
         paths = generate_synthetic(spec, tmp_path)
-        vocab_words = set(open(paths["vocab"], encoding="utf-8").read().split())
+        vocab_words = set(Path(paths["vocab"]).read_text(encoding="utf-8").split())
         for note in load_notes(paths["train"]):
             assert set(note.text.split()) <= vocab_words
 
@@ -404,5 +406,5 @@ class TestSyntheticGenerator:
     def test_codes_file_lexicographic(self, tmp_path):
         spec = tiny_spec()
         paths = generate_synthetic(spec, tmp_path)
-        lines = open(paths["codes"], encoding="utf-8").read().split()
+        lines = Path(paths["codes"]).read_text(encoding="utf-8").split()
         assert lines == sorted(synthetic_codes(spec))

@@ -2,7 +2,9 @@
 serial head, where the pool and the OpenBLAS pin reach, fork and error
 safety, and what the pool threads may call."""
 
+import ctypes
 import importlib.util
+import io
 import json
 import multiprocessing
 import os
@@ -186,6 +188,39 @@ class TestFailures:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+class TestPinBlas:
+    """``_pin_blas`` against fake ``/proc/self/maps`` lines."""
+
+    LIB = "/home/u/My Projects/venv/libscipy_openblas64_.so"
+    MAPS = ("7f31c4000000-7f31c4200000 r-xp 00000000 08:01 1234      " + LIB + "\n"
+            "7f31c4200000-7f31c4400000 rw-p 00200000 08:01 1234      " + LIB + "\n"
+            "7f31c5000000-7f31c5021000 rw-p 00000000 00:00 0 \n")
+
+    def pin(self, monkeypatch, cdll):
+        monkeypatch.setattr(kernels, "open", lambda *a, **k: io.StringIO(self.MAPS),
+                            raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        return kernels._pin_blas()
+
+    def test_path_with_spaces_is_loaded_whole(self, monkeypatch):
+        loaded, threads = [], []
+
+        class Lib:
+            def scipy_openblas_set_num_threads64_(self, n):
+                threads.append(n)
+
+        def cdll(path):
+            loaded.append(path)
+            return Lib()
+        assert self.pin(monkeypatch, cdll) is True
+        assert (loaded, threads) == ([self.LIB], [1])
+
+    def test_library_that_fails_to_load_has_no_setter(self, monkeypatch):
+        def cdll(path):
+            raise OSError(f"{path}: cannot open shared object file")
+        assert self.pin(monkeypatch, cdll) is False
+
+
 def _segbench_tracing():
     spec = importlib.util.spec_from_file_location("segbench_tracing",
                                                   ROOT / "segbench" / "tracing.py")
@@ -250,7 +285,8 @@ _SCOPE = textwrap.dedent("""
 
     def blas_threads():
         with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({{l.split()[-1] for l in f if "openblas" in l.lower()}})
+            libs = sorted({{l.rstrip("\\n").split(None, 5)[5] for l in f
+                           if "openblas" in l.lower()}})
         for path in libs:
             lib = ctypes.CDLL(path)
             for get in GETTERS:

@@ -150,27 +150,17 @@ class TestF1:
 
 class TestBestThreshold:
     def test_tie_resolves_to_smallest(self):
-        # any t in (0.2, 0.6] scores F1=1; grid search must return 0.3
+        # any t in (0.2, 0.6] scores F1=1; grid search must return 0.21
         ps = single_note([0.2, 0.6, 0.8], [1, 2])
-        grid = [round(0.1 * i, 1) for i in range(1, 10)]
-        t, f1 = best_threshold(ps, grid)
-        assert t == pytest.approx(0.3)
+        t, f1 = best_threshold(ps)
+        assert t == 0.21
         assert f1 == pytest.approx(1.0)
 
     def test_all_positive_prefers_smallest(self):
         ps = single_note([0.3, 0.7], [0, 1])
-        t, f1 = best_threshold(ps, [round(0.1 * i, 1) for i in range(1, 10)])
-        assert t == pytest.approx(0.1)
+        t, f1 = best_threshold(ps)
+        assert t == 0.01
         assert f1 == pytest.approx(1.0)
-
-    def test_single_grid_point(self):
-        ps = single_note([0.4], [0])
-        t, f1 = best_threshold(ps, [0.25])
-        assert t == 0.25
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            best_threshold(single_note([0.4], [0]), [])
 
     def test_default_grid_shape(self):
         grid = default_grid()
@@ -347,7 +337,6 @@ def test_metrics_match_mask_counts_under_ties(case):
     f1s = [micro_f1(*confusion(t)[:3]) for t in grid]
     expected = (grid[f1s.index(max(f1s))], max(f1s))  # first, so smallest t
     assert best_threshold(ps) == expected
-    assert best_threshold(ps, grid[::-1]) == expected
 
     roc, pr = pairwise_roc_oracle(scores, labels), per_threshold_pr_oracle(scores, labels)
     if roc is None:

@@ -136,8 +136,9 @@ class TestForward:
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"scalar tensor, got shape \(3,\)"):
             mul(x, x).backward()
+        assert x.grad is None
 
     def test_backward_without_gradient_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -147,13 +148,6 @@ class TestForward:
         for loss in (recorded_off, constant):
             with pytest.raises(RuntimeError, match="requires no gradient"):
                 loss.backward()
-        assert x.grad is None
-
-    def test_backward_seed_shape_must_match(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(ValueError) as exc:
-            mul(x, 2.0).backward(np.ones(1))
-        assert "(1,)" in str(exc.value) and "(3,)" in str(exc.value)
         assert x.grad is None
 
     def test_accumulation_linearity(self, rng):
@@ -311,38 +305,95 @@ def test_only_tensor_accumulates_gradients():
     assert offenders == []
 
 
-# only tests call it until the planned --explain output (ROADMAP item 3)
-# shows a code's attention over the note's tokens
-UNUSED_BY_DESIGN = ["label_attention.attention_weights"]
+UNUSED_BY_DESIGN = [
+    # only tests call it until the planned --explain output (ROADMAP item 3)
+    # shows a code's attention over the note's tokens
+    "label_attention.attention_weights",
+    # criterion 1 checks the encoder's size against BERT's arithmetic
+    "transformer.count_parameters",
+]
+
+# defaulted parameters that only tests set
+SET_BY_TESTS_ONLY = {
+    "tensor.tensor_sum(axis)": "the unfused head oracle and criterion 2 sum over one axis",
+    "cli.main(argv)": "the tests' entry point; the console script reads sys.argv",
+    "transformer.EncoderParams(dtype)": "the float64 gradchecks build float64 weights",
+    "cnn.CnnParams(dtype)": "the float64 gradchecks build float64 weights",
+    "label_attention.LabelHeadParams(dtype)": "the float64 gradchecks build float64 weights",
+}
+
+
+def _sources():
+    """Parsed modules of the package and of the benchmark."""
+    package = Path(segcoder.__file__).parent
+    bench = package.parent.parent / "segbench"
+    assert bench.is_dir()
+    return ({p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))},
+            [ast.parse(p.read_text(encoding="utf-8")) for p in bench.glob("*.py")])
+
+
+def _public_functions(modules):
+    """(qualified name, def, is_method) for every public function, every
+    public method of a public class, and every public class's __init__,
+    which its callers reach through the class name."""
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{stem}.{node.name}", node, False
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    if m.name == "__init__":
+                        yield f"{stem}.{node.name}", m, True
+                    elif not m.name.startswith("_"):
+                        yield f"{stem}.{node.name}.{m.name}", m, True
 
 
 def test_package_keeps_only_what_it_runs():
     # every public function, and every public method of a public class, in
     # any segcoder module is referenced from the package or the benchmark
-    # other than at its own definition
-    package = Path(segcoder.__file__).parent
-    bench = package.parent.parent / "segbench"
-    assert bench.is_dir()
+    # other than at its own definition or a re-export in __init__.py
+    modules, bench = _sources()
     names, attrs = set(), set()
-    for path in [*package.glob("*.py"), *bench.glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in [*modules.values(), *bench]:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-    unused = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                if node.name not in names | attrs:
-                    unused.append(f"{path.stem}.{node.name}")
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                unused += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
-                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-                           and m.name not in attrs]
+    unused = [name for name, node, is_method in _public_functions(modules)
+              if node.name != "__init__"
+              and node.name not in (attrs if is_method else names | attrs)]
     assert unused == UNUSED_BY_DESIGN
+
+
+def test_package_sets_every_defaulted_parameter():
+    # a parameter with a default is an option; some call in the package or
+    # the benchmark sets it, by keyword or by position, or it is a constant
+    modules, bench = _sources()
+    calls = [node for tree in [*modules.values(), *bench] for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def callee(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    unset = []
+    for name, node, is_method in _public_functions(modules):
+        called = name.rsplit(".", 1)[1]
+        mine = [c for c in calls if callee(c) == called]
+        positional = [*node.args.posonlyargs, *node.args.args][int(is_method):]
+        defaulted = positional[len(positional) - len(node.args.defaults):]
+        defaulted += [a for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+        for arg in defaulted:
+            index = positional.index(arg) if arg in positional else None
+            if not any(any(k.arg in (arg.arg, None) for k in c.keywords)
+                       or index is not None and (len(c.args) > index
+                                                 or any(isinstance(a, ast.Starred) for a in c.args))
+                       for c in mine):
+                unset.append(f"{name}({arg.arg})")
+    assert sorted(unset) == sorted(SET_BY_TESTS_ONLY), sorted(set(unset) ^ set(SET_BY_TESTS_ONLY))
 
 
 def test_tensor_has_no_operator_sugar():

@@ -1,6 +1,7 @@
 """Loss definitions, batch semantics, determinism, and checkpoint retention."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestTrainLoop:
         model = tiny_model()
         result = train_loop(model, tiny_notes(6), tiny_notes(2),
                             self.config(), tmp_path)
-        lines = open(result.log_path, encoding="utf-8").read().splitlines()
+        lines = Path(result.log_path).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2  # evals at steps 4 and 8
         for expected_step, line in zip((4, 8), lines):
             fields = line.split("\t")
@@ -351,8 +352,8 @@ class TestTrainLoop:
         calls = []
         before = []
 
-        def poisoned(self, seed=None):
-            backward(self, seed)
+        def poisoned(self):
+            backward(self)
             calls.append(1)
             if len(calls) == 3:
                 before.extend(p.data.copy() for p in model.parameters())
@@ -398,7 +399,7 @@ class TestTrainLoop:
             result = train_loop(model, tiny_notes(6), tiny_notes(2),
                                 self.config(max_steps=10, eval_every=5),
                                 tmp_path / f"run{run}")
-            logs.append(open(result.log_path, "rb").read())
+            logs.append(Path(result.log_path).read_bytes())
         assert logs[0] == logs[1]
 
     def test_loop_applies_configured_truncation(self, tmp_path):

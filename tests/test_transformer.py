@@ -59,7 +59,7 @@ class TestCountParameters:
 
 class TestTruncatedNormal:
     def test_bounded_at_two_sigma(self, rng):
-        x = truncated_normal(rng, (5000,), std=0.02)
+        x = truncated_normal(rng, (5000,))
         assert np.all(np.abs(x) <= 2.0 * 0.02 + 1e-9)
         assert x.dtype == np.float32
         assert abs(float(x.mean())) < 0.002
