@@ -42,7 +42,7 @@ OPTIONS = {
     "train": {
         "corpus": None, "val": None, "codes": None, "vocab": None, "out_dir": None,
         "encoder": "transformer", "seg_len": 512, "max_seq_len": 512,
-        "hidden": 256, "blocks": 2, "heads": 4, "intermediate": 1024, "max_positions": 0,
+        "hidden": 256, "blocks": 2, "heads": 4, "intermediate": 1024,
         "cnn_embed": 100, "cnn_filters": 256, "cnn_kernel": 9, "cnn_max_words": 2500,
         "lr": 2e-4, "batch_size": 4, "max_steps": 1000, "eval_every": 100, "seed": 0,
     },
@@ -158,8 +158,7 @@ def _build_model(opt, train_notes, label_set):
         config_cls, fields = EncoderConfig, dict(
             num_blocks=opt["blocks"], hidden=opt["hidden"], heads=opt["heads"],
             intermediate=opt["intermediate"], vocab_size=len(vocab),
-            max_positions=opt["max_positions"] or max(512, opt["seg_len"]),
-            seg_len=opt["seg_len"],
+            max_positions=opt["seg_len"], seg_len=opt["seg_len"], include_pooler=False,
         )
     elif kind == "cnn":
         if opt["vocab"]:

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .tensor import Tensor, add, embedding_gather, matmul, tanh, unfold_rows
+from .tensor import Tensor, embedding_gather, linear, tanh, unfold_rows
 from .tokenizer import PAD_TOKEN, UNK_TOKEN, TokenSequence, Vocab
 from .transformer import init_weight
 
@@ -90,4 +90,4 @@ def encode_cnn(params, config, word_ids_arr):
     if ids.ndim != 1 or ids.size < 1:
         raise ValueError("encode_cnn needs a non-empty 1-D id sequence")
     patches = unfold_rows(embedding_gather(params.word_emb, ids), config.kernel)
-    return tanh(add(matmul(patches, params.conv_w), params.conv_b))
+    return tanh(linear(patches, params.conv_w, params.conv_b))

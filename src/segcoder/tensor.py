@@ -17,6 +17,8 @@ Tensors are immutable once they enter a forward graph.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -237,28 +239,12 @@ def gelu(a):
     return _make(y, (a,), lambda g: (kernels.active.gelu_bwd(g, a.data, term),))
 
 
-def softmax(a, key_mask=None, scale=None):
-    """Numerically stable softmax over the last axis (max-subtraction).
-
-    Attention first multiplies by ``scale`` and sets the keys True in
-    ``key_mask`` to MASK_FILL_VALUE; those get zero gradient, even in a
-    fully masked row, whose weights come out uniform."""
-    x = a.data
-    if scale is not None:
-        scale = x.dtype.type(scale)
-        x = x * scale
-    if key_mask is not None:
-        x = np.where(key_mask, x.dtype.type(MASK_FILL_VALUE), x)
-    shape, n = x.shape, x.shape[-1]
-    y2 = kernels.active.softmax_fwd(np.ascontiguousarray(x.reshape(-1, n)))
-
-    def backward(g):
-        dx = kernels.active.softmax_bwd(
-            np.ascontiguousarray(g.reshape(-1, n)), y2).reshape(shape)
-        if key_mask is not None:
-            dx = np.where(key_mask, 0.0, dx)
-        return (dx if scale is None else dx * scale,)
-    return _make(y2.reshape(shape), (a,), backward)
+def softmax(a):
+    """Numerically stable softmax over the last axis (max-subtraction)."""
+    shape, n = a.data.shape, a.data.shape[-1]
+    y2 = kernels.active.softmax_fwd(np.ascontiguousarray(a.data.reshape(-1, n)))
+    return _make(y2.reshape(shape), (a,), lambda g: (kernels.active.softmax_bwd(
+        np.ascontiguousarray(g.reshape(-1, n)), y2).reshape(shape),))
 
 
 def layer_norm(x, gamma, beta):
@@ -273,6 +259,83 @@ def layer_norm(x, gamma, beta):
             np.ascontiguousarray(g.reshape(-1, d)), xhat, gamma.data, rstd)
         return dx2.reshape(x.data.shape), dgamma, dbeta
     return _make(y2.reshape(x.data.shape), (x, gamma, beta), backward)
+
+
+def add_layer_norm(a, b, gamma, beta):
+    """``layer_norm(add(a, b), gamma, beta)`` as one node, which keeps the
+    normalized rows for its backward but not the sum. Each of ``a`` and
+    ``b`` gets its own gradient array."""
+    s = a.data + b.data
+    shape, d = s.shape, s.shape[-1]
+    y2, xhat, rstd = kernels.active.layernorm_fwd(
+        np.ascontiguousarray(s.reshape(-1, d)), gamma.data, beta.data, LAYER_NORM_EPS)
+
+    def backward(g):
+        dx2, dgamma, dbeta = kernels.active.layernorm_bwd(
+            np.ascontiguousarray(g.reshape(-1, d)), xhat, gamma.data, rstd)
+        ds = dx2.reshape(shape)
+        return ds, ds.copy() if b.requires_grad else None, dgamma, dbeta
+    return _make(y2.reshape(shape), (a, b, gamma, beta), backward)
+
+
+def linear(x, w, b):
+    """``add(matmul(x, w), b)`` as one node, which keeps no product before
+    the bias."""
+    return _make(x.data @ w.data + b.data, (x, w, b),
+                 lambda g: (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
+                            np.swapaxes(x.data, -1, -2) @ g if w.requires_grad else None,
+                            g))
+
+
+def attention(q, k, v, key_mask, heads):
+    """Multi-head scaled dot-product attention within each of W windows.
+
+    ``q``, ``k`` and ``v`` are ``[W*n, d]`` rows, window by window, and
+    ``key_mask`` is ``[W, n]``, True at keys no query may attend to. Each
+    window's rows split into ``heads`` heads of width ``dh = d // heads``;
+    scores ``q k^T`` are scaled by ``1/sqrt(dh)``, masked keys set to
+    MASK_FILL_VALUE, and the softmax weights pool ``v``; the heads merge back
+    into ``[W*n, d]``. Only windows that hold a masked key are filled, and
+    only theirs are zeroed in backward, so masked keys get zero gradient
+    even in a fully masked window, whose weights come out uniform. The node
+    keeps the softmax weights for its backward, not the scores.
+    """
+    w, n = key_mask.shape
+    d = q.data.shape[-1]
+    dh = d // heads
+    scale = q.data.dtype.type(1.0 / math.sqrt(dh))
+    fill = q.data.dtype.type(MASK_FILL_VALUE)
+    padded = np.flatnonzero(key_mask.any(axis=1))
+
+    def split(t):                                               # [W, heads, n, dh]
+        return np.transpose(t.data.reshape(w, n, heads, dh), (0, 2, 1, 3))
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    scores = q4 @ np.swapaxes(k4, -1, -2)
+    scores *= scale
+    for i in padded:
+        scores[i][..., key_mask[i]] = fill
+    shape = scores.shape
+    y2 = kernels.active.softmax_fwd(np.ascontiguousarray(scores.reshape(-1, n)))
+    del scores
+    attn = y2.reshape(shape)
+
+    def merge(t):                                               # [W*n, d]
+        return np.transpose(t, (0, 2, 1, 3)).reshape(w * n, d)
+
+    def backward(g):
+        dctx = np.ascontiguousarray(np.transpose(g.reshape(w, n, heads, dh), (0, 2, 1, 3)))
+        dattn = dctx @ np.swapaxes(v4, -1, -2)
+        dv = np.swapaxes(attn, -1, -2) @ dctx
+        ds = kernels.active.softmax_bwd(
+            np.ascontiguousarray(dattn.reshape(-1, n)), y2).reshape(shape)
+        for i in padded:
+            ds[i][..., key_mask[i]] = 0.0
+        ds *= scale
+        dq = ds @ k4
+        dkt = np.swapaxes(q4, -1, -2) @ ds                      # [W, heads, dh, n]
+        return merge(dq), np.transpose(dkt, (0, 3, 1, 2)).reshape(w * n, d), merge(dv)
+    return _make(merge(attn @ v4), (q, k, v), backward)
 
 
 def embedding_gather(table, ids):

@@ -12,7 +12,6 @@ total, but the forward pass never uses it: downstream consumers pool token
 vectors with label attention instead of reading a summary token.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +19,14 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
+    add_layer_norm,
+    attention,
     embedding_gather,
     gelu,
     layer_norm,
-    matmul,
+    linear,
     reshape,
     slice_rows,
-    softmax,
-    transpose,
 )
 
 INIT_STD = 0.02
@@ -55,10 +54,6 @@ class EncoderConfig:
             raise ValueError(
                 f"seg_len {self.seg_len} exceeds max_positions {self.max_positions}"
             )
-
-    @property
-    def head_dim(self):
-        return self.hidden // self.heads
 
 
 def truncated_normal(rng, shape, dtype=np.float32):
@@ -150,10 +145,6 @@ def count_parameters(config):
     return total
 
 
-def _linear(x, w, b):
-    return add(matmul(x, w), b)
-
-
 def encode_segment(params, config, segment_ids, pad_mask):
     """Per-token representations for a stack of segments.
 
@@ -174,33 +165,21 @@ def encode_segment(params, config, segment_ids, pad_mask):
         raise ValueError(
             f"pad_mask shape {pad_mask.shape} must match segment_ids {ids.shape}")
     w, n = ids.shape
-    d, a, dh = config.hidden, config.heads, config.head_dim
+    d = config.hidden
 
     x = embedding_gather(params.token_emb, ids)                   # [W, n, d]
     x = add(x, slice_rows(params.pos_emb, 0, n))
     x = add(x, slice_rows(params.type_emb, 0, 1))  # type-0 row, broadcast
     x = reshape(layer_norm(x, params.emb_ln_g, params.emb_ln_b), (w * n, d))
 
-    key_mask = pad_mask.reshape(w, 1, 1, n)
-    scale = 1.0 / math.sqrt(dh)
     for blk in params.blocks:
-        def split_heads(t):
-            return transpose(reshape(t, (w, n, a, dh)), (0, 2, 1, 3))
-
-        q = split_heads(_linear(x, blk["q_w"], blk["q_b"]))
-        k = split_heads(_linear(x, blk["k_w"], blk["k_b"]))
-        v = split_heads(_linear(x, blk["v_w"], blk["v_b"]))
-        attn = softmax(matmul(q, transpose(k, (0, 1, 3, 2))), key_mask, scale)
-        ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (w * n, d))
-        x = layer_norm(
-            add(x, _linear(ctx, blk["o_w"], blk["o_b"])),
-            blk["attn_ln_g"],
-            blk["attn_ln_b"],
-        )
-        h = gelu(_linear(x, blk["ffn_w1"], blk["ffn_b1"]))
-        x = layer_norm(
-            add(x, _linear(h, blk["ffn_w2"], blk["ffn_b2"])),
-            blk["ffn_ln_g"],
-            blk["ffn_ln_b"],
-        )
+        q = linear(x, blk["q_w"], blk["q_b"])
+        k = linear(x, blk["k_w"], blk["k_b"])
+        v = linear(x, blk["v_w"], blk["v_b"])
+        ctx = attention(q, k, v, pad_mask, config.heads)
+        x = add_layer_norm(x, linear(ctx, blk["o_w"], blk["o_b"]),
+                           blk["attn_ln_g"], blk["attn_ln_b"])
+        h = gelu(linear(x, blk["ffn_w1"], blk["ffn_b1"]))
+        x = add_layer_norm(x, linear(h, blk["ffn_w2"], blk["ffn_b2"]),
+                           blk["ffn_ln_g"], blk["ffn_ln_b"])
     return reshape(x, (w, n, d))

@@ -6,8 +6,12 @@ each input scalar by +-h on a float64 path and compares. Keeping the oracle
 here makes every gradient test in the suite use the same comparison rule.
 
 ``composed_masked_softmax`` is the attention softmax as three ops, a
-scale ``mul``, a masked fill and a plain ``softmax``: the oracle the
-one-node ``softmax(a, key_mask, scale)`` must match bit for bit.
+scale ``mul``, a masked fill and a plain ``softmax``.
+``composed_encode_segment`` is the encoder block as first composed from
+small ops, with that softmax, and ``composed_encode_cnn`` the CNN with its
+linear as a matmul and an add: the oracles that ``encode_segment`` and
+``encode_cnn``, built on the one-node ``linear``, ``attention`` and
+``add_layer_norm``, must match bit for bit, forward and backward.
 
 ``composed_gelu_fwd`` and ``composed_gelu_bwd`` are GELU as first
 written, each with its own ``scipy.special.erf`` call: the oracle the
@@ -29,6 +33,8 @@ added up, where the package builds one [B, K] matrix and one loss over it.
 so it shares no window code with ``probs``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -36,8 +42,10 @@ from scipy.special import erf
 from segcoder.cnn import encode_cnn
 from segcoder.label_attention import predict
 from segcoder.segments import plan_segments
-from segcoder.tensor import (MASK_FILL_VALUE, Tensor, _make, add, clamp, concat_rows, log,
-                             mul, no_grad, reshape, slice_rows, softmax, sub, tensor_sum)
+from segcoder.tensor import (MASK_FILL_VALUE, Tensor, _make, add, clamp, concat_rows,
+                             embedding_gather, gelu, layer_norm, log, matmul, mul, no_grad,
+                             reshape, slice_rows, softmax, sub, tanh, tensor_sum, transpose,
+                             unfold_rows)
 from segcoder.tokenizer import truncate
 from segcoder.transformer import encode_segment
 
@@ -113,6 +121,48 @@ def composed_masked_softmax(a, key_mask, scale):
     filled = _make(np.where(key_mask, scaled.data.dtype.type(MASK_FILL_VALUE), scaled.data),
                    (scaled,), lambda g: (np.where(key_mask, 0.0, g),))
     return softmax(filled)
+
+
+def composed_encode_segment(params, config, segment_ids, pad_mask):
+    """``encode_segment`` with every block composed of small ops: each linear
+    a ``matmul`` and an ``add``, attention as head-split reshapes and
+    transposes, two batched matmuls and ``composed_masked_softmax`` over
+    every window, and each residual an ``add`` before a ``layer_norm``."""
+    ids = np.asarray(segment_ids, dtype=np.int64)
+    w, n = ids.shape
+    d, a = config.hidden, config.heads
+    dh = d // a
+
+    def lin(x, wt, b):
+        return add(matmul(x, wt), b)
+
+    def split_heads(t):
+        return transpose(reshape(t, (w, n, a, dh)), (0, 2, 1, 3))
+
+    x = embedding_gather(params.token_emb, ids)
+    x = add(x, slice_rows(params.pos_emb, 0, n))
+    x = add(x, slice_rows(params.type_emb, 0, 1))
+    x = reshape(layer_norm(x, params.emb_ln_g, params.emb_ln_b), (w * n, d))
+    key_mask = np.asarray(pad_mask, dtype=bool).reshape(w, 1, 1, n)
+    for blk in params.blocks:
+        q = split_heads(lin(x, blk["q_w"], blk["q_b"]))
+        k = split_heads(lin(x, blk["k_w"], blk["k_b"]))
+        v = split_heads(lin(x, blk["v_w"], blk["v_b"]))
+        attn = composed_masked_softmax(matmul(q, transpose(k, (0, 1, 3, 2))), key_mask,
+                                       1.0 / math.sqrt(dh))
+        ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (w * n, d))
+        x = layer_norm(add(x, lin(ctx, blk["o_w"], blk["o_b"])),
+                       blk["attn_ln_g"], blk["attn_ln_b"])
+        h = gelu(lin(x, blk["ffn_w1"], blk["ffn_b1"]))
+        x = layer_norm(add(x, lin(h, blk["ffn_w2"], blk["ffn_b2"])),
+                       blk["ffn_ln_g"], blk["ffn_ln_b"])
+    return reshape(x, (w, n, d))
+
+
+def composed_encode_cnn(params, config, ids):
+    """``encode_cnn`` with its linear as a ``matmul`` and an ``add``."""
+    patches = unfold_rows(embedding_gather(params.word_emb, np.asarray(ids)), config.kernel)
+    return tanh(add(matmul(patches, params.conv_w), params.conv_b))
 
 
 def composed_gelu_fwd(x):

@@ -98,7 +98,10 @@ def test_criterion_2_gradient_correctness():
         return rng.normal(size=shape)
 
     ids = np.array([1, 3, 1, 0])
-    mask = np.array([[False, True, False], [True, False, False]])
+    key_mask = np.array([[False, True, False]])  # one window, its middle key padded
+    # arrays the entries below add draw from their own generator, so the
+    # composed model below keeps its weights
+    own = np.random.default_rng(9)
     ops = [
         ("add", lambda a, b: T.add(a, b), [arr(3, 4), arr(3, 4)]),
         ("add broadcast", lambda a, b: T.add(a, b), [arr(3, 4), arr(4)]),
@@ -120,7 +123,13 @@ def test_criterion_2_gradient_correctness():
         ("layer_norm", lambda a, g, b: T.layer_norm(a, g, b),
          [arr(3, 4), np.abs(arr(4)) + 0.5, arr(4)]),
         ("embedding_gather", lambda t: T.embedding_gather(t, ids), [arr(5, 4)]),
-        ("masked softmax", lambda a: T.softmax(a, mask, 0.5), [arr(2, 3)]),
+        ("attention", lambda q, k, v: T.attention(q, k, v, key_mask, 1),
+         [arr(3, 2), *own.normal(size=(2, 3, 2))]),
+        ("linear", lambda x, w, b: T.linear(x, w, b),
+         [own.normal(size=(3, 4)), own.normal(size=(4, 2)), own.normal(size=(2,))]),
+        ("add_layer_norm", lambda a, b, g, beta: T.add_layer_norm(a, b, g, beta),
+         [own.normal(size=(3, 4)), own.normal(size=(3, 4)),
+          np.abs(own.normal(size=(4,))) + 0.5, own.normal(size=(4,))]),
         ("concat_rows", lambda a, b: T.concat_rows([a, b]), [arr(2, 4), arr(3, 4)]),
         ("slice_rows", lambda a: T.slice_rows(a, 1, 3), [arr(4, 3)]),
         # its own generator, so the composed model below keeps its weights
@@ -227,14 +236,21 @@ def test_criterion_4_attention_invariants():
         permuted = predict(T.Tensor(E_arr[perm]), head).data
         assert np.allclose(probs, permuted, atol=1e-9)
 
-        # padded key positions must get exactly zero attention mass
+        # padded keys must get exactly zero attention mass: with v all ones
+        # every output row is its weights' sum, and changing k and v at the
+        # padded keys must leave the output bit-identical
         n = int(rng.integers(2, 7))
-        scores = rng.normal(size=(n, n))
+        q, k, v = rng.normal(size=(3, n, 2))
         pad = np.zeros(n, dtype=bool)
         pad[int(rng.integers(1, n)):] = True
-        masked = T.softmax(T.Tensor(scores), key_mask=pad[None, :]).data
-        assert np.all(masked[:, pad] == 0.0)
-        assert np.allclose(masked.sum(axis=1), 1.0, atol=1e-6)
+
+        def attend(k, v):
+            return T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), pad[None, :], 1).data
+
+        assert np.allclose(attend(k, np.ones_like(v)), 1.0, atol=1e-6)
+        k2, v2 = k.copy(), v.copy()
+        k2[pad], v2[pad] = rng.normal(size=(2, int(pad.sum()), 2)) * 10
+        assert np.array_equal(attend(k, v), attend(k2, v2))
 
     report(4, worst_sum <= 1e-6,
            f"100 inputs: weight sums off by <= {worst_sum:.2e}; shift and "

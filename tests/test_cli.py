@@ -35,7 +35,7 @@ def corpus_dir(tmp_path_factory):
 
 
 TINY_TRAIN_FLAGS = [
-    "--seg-len", "8", "--max-positions", "8", "--max-seq-len", "16",
+    "--seg-len", "8", "--max-seq-len", "16",
     "--hidden", "16", "--blocks", "1", "--heads", "2", "--intermediate", "32",
     "--batch-size", "2", "--max-steps", "4", "--eval-every", "2",
 ]
@@ -174,14 +174,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags, named", [
         (["--hidden", "30", "--heads", "4"], "hidden 30 not divisible by heads 4"),
-        (["--seg-len", "16", "--max-positions", "8"], "seg_len 16 exceeds max_positions 8"),
         (["--seg-len", "0"], "got hidden 16, heads 2, seg_len 0"),
         (["--heads", "0"], "got hidden 16, heads 0, seg_len 8"),
         (["--hidden", "0"], "got hidden 0, heads 2, seg_len 8"),
         (["--encoder", "cnn", "--cnn-filters", "0"], "must be >= 1, got 100, 0, 2500"),
         (["--encoder", "cnn", "--cnn-kernel", "4"], "kernel width must be odd"),
         (["--max-seq-len", "0"], "max_seq_len must be >= 1, got 0"),
-    ], ids=["hidden-not-divisible", "seg-len-past-positions", "seg-len-zero", "heads-zero",
+    ], ids=["hidden-not-divisible", "seg-len-zero", "heads-zero",
             "hidden-zero", "cnn-filters-zero", "cnn-kernel-even", "max-seq-len-zero"])
     def test_unbuildable_encoder_is_usage_error(self, corpus_dir, tmp_path, capsys,
                                                 flags, named):
@@ -565,6 +564,26 @@ _SCORE_AND_TRAIN = textwrap.dedent("""
                    init_adam(model.parameters(), lr=1e-3))
     print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """)
+
+
+class TestBuiltModel:
+    """A model built as ``segcoder train`` builds it holds only weights its
+    loss reaches: no pooler, and one position row per window slot."""
+
+    @pytest.mark.parametrize("encoder", ["transformer", "cnn"])
+    def test_every_parameter_gets_a_gradient(self, corpus_dir, encoder):
+        from segcoder.corpus import load_corpus
+        from segcoder.training import batch_loss, prepare_examples
+        opt = resolve_options(build_parser().parse_args([
+            "train", "--encoder", encoder, "--vocab", str(corpus_dir / "vocab.txt"),
+            "--cnn-embed", "4", "--cnn-filters", "16", "--cnn-kernel", "3",
+            *TINY_TRAIN_FLAGS]), OPTIONS["train"])
+        notes, label_set = load_corpus(str(corpus_dir / "train.jsonl"))
+        model = cli._build_model(opt, notes, label_set)
+        batch_loss(model, prepare_examples(model, notes[:2])).backward()
+        assert [n for n, t in model.named_parameters() if t.grad is None] == []
+        if encoder == "transformer":
+            assert model.enc_params.pos_emb.data.shape[0] == 8
 
 
 class TestNoScipy:

@@ -11,7 +11,7 @@ from segcoder.label_attention import LabelHeadParams, predict
 from segcoder.tensor import (Tensor, add, concat_rows, embedding_gather, matmul, mul,
                              reshape, tanh, tensor_sum)
 
-from conftest import param_gradcheck
+from conftest import composed_encode_cnn, param_gradcheck
 
 
 def make_params(rng, vocab_size=10, embed_dim=3, filters=4, kernel=3, dtype=np.float64):
@@ -173,6 +173,27 @@ class TestMatchesOracle:
             scale = 1.0 if dtype == np.float64 else max(1.0, float(np.abs(want).max()))
             atol = 1e-12 if dtype == np.float64 else 1e-6 * scale
             np.testing.assert_allclose(got, want, rtol=0, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n,kernel", [(12, 3), (40, 9), (1, 9)])
+    def test_bit_identical_to_composed_linear(self, dtype, n, kernel):
+        # the one-node linear against matmul then add: output and every
+        # gradient bit for bit
+        rng = np.random.default_rng(n * 100 + kernel)
+        ids = rng.integers(0, 6, size=n)
+        w = rng.normal(size=(n, 5)).astype(dtype)
+        results = []
+        for encode in (composed_encode_cnn, encode_cnn):
+            params, config = make_params(np.random.default_rng(0), vocab_size=6,
+                                         embed_dim=4, filters=5, kernel=kernel,
+                                         dtype=dtype)
+            out = encode(params, config, ids)
+            tensor_sum(mul(out, Tensor(w))).backward()
+            results.append([out.data] + [t.grad for _, t in params.named()])
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestScatterCount:

@@ -11,9 +11,9 @@ import pytest
 
 import segcoder
 from conftest import composed_masked_softmax, fd_gradients, gradcheck
-from segcoder.tensor import (Tensor, add, clamp, concat_rows, embedding_gather,
-                             gelu, layer_norm, log, matmul, mul, no_grad,
-                             reshape, sigmoid, slice_rows, softmax, sub, tanh,
+from segcoder.tensor import (Tensor, add, add_layer_norm, attention, clamp, concat_rows,
+                             embedding_gather, gelu, layer_norm, linear, log, matmul, mul,
+                             no_grad, reshape, sigmoid, slice_rows, softmax, sub, tanh,
                              tensor_sum, transpose, unfold_rows)
 
 SEEDS = range(20)
@@ -115,11 +115,14 @@ class TestForward:
             unfold_rows(Tensor(np.zeros(3)), 1)
 
     def test_masked_keys_get_exactly_zero_weight(self):
-        x = Tensor(np.zeros((1, 4), dtype=np.float32), requires_grad=True)
+        # equal scores, and v the identity: each output row is its query's
+        # attention weights
+        zeros = Tensor(np.zeros((4, 4), dtype=np.float32), requires_grad=True)
+        eye = Tensor(np.eye(4, dtype=np.float32))
         mask = np.array([[False, True, False, True]])
-        probs = softmax(x, key_mask=mask, scale=0.25)
-        assert probs.data[0, 1] == 0.0 and probs.data[0, 3] == 0.0
-        np.testing.assert_allclose(probs.data[0, [0, 2]], [0.5, 0.5], rtol=1e-6)
+        probs = attention(zeros, zeros, eye, mask, 1).data
+        assert np.all(probs[:, [1, 3]] == 0.0)
+        np.testing.assert_allclose(probs[:, [0, 2]], 0.5, rtol=1e-6)
 
     def test_clamp_boundaries(self):
         x = Tensor(np.array([-1.0, 0.5, 2.0], dtype=np.float32), requires_grad=True)
@@ -245,6 +248,18 @@ class TestGradientOwnership:
             np.testing.assert_array_equal(node.grad, w)
         expected = w_t.T + w_r.reshape(2, 3) + w_c[:2] + w_c[2:] + 1.0
         np.testing.assert_allclose(x.grad, expected, rtol=1e-14)
+
+    def test_add_layer_norm_gives_each_addend_its_own_array(self, rng):
+        # both addends take their first gradient from the one node; a later
+        # gradient into b must not reach a's
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        g, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        w1, w2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        add(tensor_sum(mul(add_layer_norm(a, b, g, beta), Tensor(w1))),
+            tensor_sum(mul(b, Tensor(w2)))).backward()
+        assert not np.may_share_memory(a.grad, b.grad)
+        np.testing.assert_allclose(b.grad, a.grad + w2, rtol=1e-15)
 
     def test_float64_gradient_into_float32_tensor(self, rng):
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
@@ -461,41 +476,74 @@ class TestGradients:
         gradcheck(lambda t: weighted(softmax(t), w), [x])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_masked_softmax_over_attention_scores(self, seed):
-        # the attention path: [windows, heads, queries, keys] scores,
-        # scaled, padded keys masked, then a softmax over every row
+    def test_attention(self, seed):
+        # two windows of five keys, two heads of width 2, padded keys masked
         r = np.random.default_rng(seed)
-        x = r.normal(size=(2, 3, 4, 5)) * 2
-        key_mask = r.random(size=(2, 1, 1, 5)) < 0.4
-        key_mask[..., 0] = False  # every row keeps a real key
-        w = r.normal(size=(2, 3, 4, 5))
-        gradcheck(lambda t: weighted(softmax(t, key_mask, 1 / np.sqrt(8)), w), [x])
+        q, k, v = r.normal(size=(3, 10, 4)) * 2
+        key_mask = r.random(size=(2, 5)) < 0.4
+        key_mask[:, 0] = False  # every row keeps a real key
+        w = r.normal(size=(10, 4))
+        gradcheck(lambda a, b, c: weighted(attention(a, b, c, key_mask, 2), w), [q, k, v])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("scale", [0.25, 0.125, 1 / np.sqrt(32)])
-    def test_masked_softmax_bit_identical_to_composition(self, dtype, scale):
-        # one node against the scale mul, fill and softmax it replaced,
-        # output and gradient bit for bit (zero signs included); window 1 is
-        # fully padded, so its weights are uniform and its gradient zero
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("window", ["unpadded", "partly padded", "fully padded"])
+    def test_attention_bit_identical_to_composition(self, dtype, heads, window):
+        # one node against the head split, q k^T, scale, fill, softmax, attn v
+        # and head merge it replaced, output and gradients bit for bit (zero
+        # signs included); a window of the kind under test sits between an
+        # unpadded and a partly padded one
+        nw, n, d = 3, 5, 4
         r = np.random.default_rng(0)
-        x = (r.normal(size=(3, 2, 5, 5)) * 4).astype(dtype)
-        key_mask = r.random(size=(3, 1, 1, 5)) < 0.4
-        key_mask[0] = False
-        key_mask[1] = True
-        key_mask[2, ..., :2] = [False, True]
-        w = r.normal(size=x.shape).astype(dtype)
+        arrays = [(r.normal(size=(nw * n, d)) * 4).astype(dtype) for _ in range(3)]
+        key_mask = np.zeros((nw, n), dtype=bool)
+        key_mask[1] = {"unpadded": False, "partly padded": [False] * 3 + [True] * 2,
+                       "fully padded": True}[window]
+        key_mask[2, 3:] = True
+        probe = r.normal(size=(nw * n, d)).astype(dtype)
+
+        def composed(q, k, v):
+            def split(t):
+                return transpose(reshape(t, (nw, n, heads, d // heads)), (0, 2, 1, 3))
+            qh, kh, vh = split(q), split(k), split(v)
+            attn = composed_masked_softmax(matmul(qh, transpose(kh, (0, 1, 3, 2))),
+                                           key_mask.reshape(nw, 1, 1, n),
+                                           1.0 / np.sqrt(d // heads))
+            return reshape(transpose(matmul(attn, vh), (0, 2, 1, 3)), (nw * n, d))
+
         runs = []
-        for op in (softmax, composed_masked_softmax):
-            t = Tensor(x, requires_grad=True)
-            out = op(t, key_mask, scale)
-            weighted(out, w).backward()
-            runs.append((out.data, t.grad))
+        for op in (lambda q, k, v: attention(q, k, v, key_mask, heads), composed):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            out = op(*ts)
+            weighted(out, probe).backward()
+            runs.append([out.data] + [t.grad for t in ts])
         for got, want in zip(*runs):
             assert got.dtype == want.dtype == dtype
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        np.testing.assert_allclose(runs[0][0][1], 0.2, rtol=1e-6)
-        assert np.all(runs[0][1][1] == 0.0)
+        if window == "fully padded":
+            # uniform weights: each row is the mean of the window's v rows
+            v1 = arrays[2][n:2 * n]
+            np.testing.assert_allclose(runs[0][0][n:2 * n], np.broadcast_to(
+                v1.mean(axis=0, dtype=np.float64), (n, d)), rtol=1e-5, atol=1e-5)
+            assert np.all(runs[0][1][n:2 * n] == 0.0) and np.all(runs[0][2][n:2 * n] == 0.0)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_linear(self, seed):
+        r = np.random.default_rng(seed)
+        x, wt, b = r.normal(size=(3, 4)), r.normal(size=(4, 2)), r.normal(size=(2,))
+        w = r.normal(size=(3, 2))
+        gradcheck(lambda a, c, e: weighted(linear(a, c, e), w), [x, wt, b])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_add_layer_norm(self, seed):
+        r = np.random.default_rng(seed)
+        a, b = r.normal(size=(2, 3, 5))
+        g = r.normal(size=(5,)) + 1.0
+        beta = r.normal(size=(5,))
+        w = r.normal(size=(3, 5))
+        gradcheck(lambda x, y, gg, bb: weighted(add_layer_norm(x, y, gg, bb), w),
+                  [a, b, g, beta])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_layer_norm(self, seed):

@@ -1,10 +1,13 @@
 """Transformer encoder: configuration invariants, exact parameter
-accounting, pad masking, and a full-segment gradient check."""
+accounting, pad masking, bit-identity with the block composed of small
+ops, the memory its graph holds, and a full-segment gradient check."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import param_gradcheck
+from conftest import composed_encode_segment, param_gradcheck
 from segcoder.tensor import Tensor, mul, no_grad, tensor_sum
 from segcoder.transformer import (EncoderConfig, EncoderParams,
                                   count_parameters, encode_segment,
@@ -119,16 +122,16 @@ class TestEncodeSegment:
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_attention_rows_over_real_keys_sum_to_one(self, monkeypatch):
-        import segcoder.transformer as tr
+        from segcoder import kernels
         captured = []
-        orig = tr.softmax
+        orig = kernels.active.softmax_fwd
 
-        def spy(x, key_mask=None, scale=None):
-            out = orig(x, key_mask, scale)
-            captured.append(out.data.copy())
+        def spy(x):
+            out = orig(x)
+            captured.append(out.copy())
             return out
 
-        monkeypatch.setattr(tr, "softmax", spy)
+        monkeypatch.setattr(kernels.active, "softmax_fwd", spy)
         mask = np.array([False, False, True, True])
         with no_grad():
             encode_segment(self.params, self.cfg, [[1, 2, 3, 4]], mask[None])
@@ -139,12 +142,11 @@ class TestEncodeSegment:
             assert np.all(attn[..., mask] == 0.0)
 
     def test_nodes_per_block_pinned(self, monkeypatch):
-        # a block records 29 nodes: the q, k and v linears (matmul, add) and
-        # head splits (reshape, transpose); k's transpose; q k^T; one
-        # attention softmax; attn v; the head merge (transpose, reshape);
-        # the o linear; a residual add; a layer norm; two FFN linears, GELU,
-        # a residual add and a layer norm. The embeddings and the output
-        # reshape record 8.
+        # a block records 10 nodes: the q, k and v linears; one attention
+        # node (head split, scaled and masked scores, softmax, attn v, head
+        # merge); the o linear; an add & norm; two FFN linears around a
+        # GELU; and an add & norm. The embeddings and the output reshape
+        # record 8.
         import segcoder.tensor as tensor_mod
         recorded = []
         orig = tensor_mod._make
@@ -162,7 +164,55 @@ class TestEncodeSegment:
             recorded.clear()
             encode_segment(EncoderParams(cfg, np.random.default_rng(7)), cfg, ids, ids == 0)
             counts.append(sum(recorded))
-        assert counts == [8 + 29, 8 + 2 * 29]
+        assert counts == [8 + 10, 8 + 2 * 10]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("windows", ["unpadded", "padded", "fully padded"])
+    def test_bit_identical_to_composed_block(self, dtype, heads, windows):
+        # the one-node linear, attention and add & norm against the block
+        # composed of small ops: output and every parameter's gradient, bit
+        # for bit (zero signs included), over two blocks
+        cfg = EncoderConfig(**{**TINY, "num_blocks": 2, "heads": heads})
+        ids = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [9, 1, 2, 3]])
+        pad = {"unpadded": [False] * 4, "padded": [False, False, True, True],
+               "fully padded": [True] * 4}[windows]
+        mask = np.zeros(ids.shape, dtype=bool)
+        mask[1] = pad
+        probe = Tensor(np.random.default_rng(11).normal(size=(3, 4, 8)).astype(dtype))
+        runs = []
+        for encode in (encode_segment, composed_encode_segment):
+            params = EncoderParams(cfg, np.random.default_rng(3), dtype=dtype)
+            out = encode(params, cfg, ids, mask)
+            tensor_sum(mul(out, probe)).backward()
+            runs.append([out.data] + [t.grad for _, t in params.named()])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_graph_of_a_long_note_holds_no_more_than_backward_reads(self):
+        # serve-largek's longest note: 1,892 tokens in 30 windows of 64 at
+        # d = 32. The graph encode_segment's forward leaves measured 7.30 MB
+        # (2^20 bytes); the block composed of small ops, which also keeps
+        # each linear's product before its bias, the attention scores and
+        # each residual sum, held 11.06 MB
+        cfg = EncoderConfig(num_blocks=1, hidden=32, heads=2, intermediate=128,
+                            vocab_size=600, max_positions=64, seg_len=64,
+                            include_pooler=False)
+        params = EncoderParams(cfg, np.random.default_rng(0))
+        ids = np.random.default_rng(1).integers(1, 600, size=(30, 64))
+        mask = np.zeros(ids.shape, dtype=bool)
+        mask[-1, 1892 - 29 * 64:] = True
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = encode_segment(params, cfg, ids, mask)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < 8.0 * 2**20, f"graph holds {held / 2**20:.2f} MB"
 
     def test_gradient_full_segment(self):
         cfg = EncoderConfig(**TINY)
